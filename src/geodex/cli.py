@@ -18,21 +18,35 @@ from . import perm as permmod
 from . import quotient as quotientmod
 from . import symmetry as symmod
 from . import verify as verifymod
-from .errors import GeodexError
+from .errors import BadInputFile, BadOption, GeodexError
 from .graph import Graph
 from .perm import PermGroup
 
 
+def _read_file(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise BadInputFile(f"cannot read {path}: {exc}") from exc
+
+
+def _malformed(path: str, exc: Exception) -> BadInputFile:
+    detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+    return BadInputFile(f"{path}: {detail}")
+
+
 def _load_graph_file(path: str) -> Graph:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.strip()
-    if stripped.startswith("{"):
-        return graphmod.graph_from_json(json.loads(stripped))
-    if stripped.startswith("["):
-        offsets, repeat = graphmod.lcf_parse(stripped)
-        return graphmod.lcf_decode(offsets, repeat)
-    return graphmod.decode(stripped.splitlines()[0])
+    stripped = _read_file(path).strip()
+    try:
+        if stripped.startswith("{"):
+            return graphmod.graph_from_json(json.loads(stripped))
+        if stripped.startswith("["):
+            offsets, repeat = graphmod.lcf_parse(stripped)
+            return graphmod.lcf_decode(offsets, repeat)
+        return graphmod.decode((stripped.splitlines() or [""])[0])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _malformed(path, exc) from exc
 
 
 def _resolve_graph(args) -> tuple[str, Graph]:
@@ -43,8 +57,11 @@ def _resolve_graph(args) -> tuple[str, Graph]:
 
 
 def _load_group_file(path: str) -> PermGroup:
-    with open(path, encoding="utf-8") as fh:
-        return permmod.group_from_json(json.load(fh))
+    text = _read_file(path)
+    try:
+        return permmod.group_from_json(json.loads(text))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _malformed(path, exc) from exc
 
 
 def _resolve_group(args, graph: Graph) -> PermGroup:
@@ -171,15 +188,28 @@ def cmd_transitivity(args) -> int:
     return 0
 
 
+def _auto_index(spec: str) -> int:
+    """k of ``auto[:k]``; a bare ``auto`` (or ``auto:``) means 0."""
+    text = spec.partition(":")[2] or "0"
+    if not text.isdecimal():
+        raise BadOption(f"--normal {spec}: k must be a non-negative integer")
+    return int(text)
+
+
 def cmd_quotient(args) -> int:
     name, graph = _resolve_graph(args)
     group = _resolve_group(args, graph)
     if args.normal == "auto" or args.normal.startswith("auto:"):
-        index = int(args.normal.partition(":")[2] or 0)
+        index = _auto_index(args.normal)
         minimals, _ = permmod.normal_structure(group)
         candidates = [m for m in minimals if len(permmod.orbits(m)) >= 3]
         if not candidates:
             raise GeodexError("no minimal normal subgroup with at least 3 orbits")
+        if index >= len(candidates):
+            raise BadOption(
+                f"--normal {args.normal}: only {len(candidates)} minimal normal"
+                " subgroup(s) with at least 3 orbits (k counts from 0)"
+            )
         normal = candidates[index]
     else:
         normal = _load_group_file(args.normal)

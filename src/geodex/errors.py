@@ -9,6 +9,16 @@ class GeodexError(Exception):
     """Base class for all toolkit-specific errors."""
 
 
+# --- command line ---------------------------------------------------------
+
+class BadInputFile(GeodexError):
+    """An input file is missing or unreadable, or its content is malformed."""
+
+
+class BadOption(GeodexError):
+    """A command-line option value is malformed or out of range."""
+
+
 # --- permutation groups ---------------------------------------------------
 
 class MalformedPermutation(GeodexError):

@@ -8,12 +8,19 @@ Groups are represented by a base and strong generating set built with a
 deterministic Schreier-Sims procedure: base points are taken from an optional
 hint first and otherwise as the smallest point moved by the offending
 residue, so the same generator list always produces the same chain.
+
+Each chain level stores its transversal together with the inverse of every
+transversal element (``inverse[q]`` is the inverse of ``transversal[q]``), so
+sifting and Schreier generators never invert.  Composition runs at C level
+through ``operator.itemgetter``.  Pointwise stabilizers are memoized per group
+under their de-duplicated point tuple.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import (
     GroupTooLarge,
@@ -34,6 +41,9 @@ ENUMERATION_CAP = 10**6
 
 def _compose(p, q):
     """Apply p, then q."""
+    if len(p) > 1:
+        return itemgetter(*p)(q)
+    # itemgetter returns a scalar for one key and needs at least one
     return tuple(q[i] for i in p)
 
 
@@ -44,10 +54,9 @@ def _inverse(p):
     return tuple(inv)
 
 
-def _conjugate(x, g):
-    """g^-1 * x * g."""
-    gi = _inverse(g)
-    return tuple(g[x[gi[i]]] for i in range(len(x)))
+def _conjugate(x, g, gi):
+    """g^-1 * x * g, where ``gi`` is the inverse of g."""
+    return _compose(_compose(gi, x), g)
 
 
 @dataclass(frozen=True)
@@ -165,13 +174,14 @@ def parse_cycle_string(text: str, degree: int) -> Permutation:
 # ---------------------------------------------------------------------------
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal", "processed")
+    __slots__ = ("point", "gens", "transversal", "inverse", "processed")
 
     def __init__(self, point: int, identity):
         self.point = point
         self.gens = []  # strong generators installed at this level
-        # transversal[q] = t with t[point] == q
+        # transversal[q] = t with t[point] == q; inverse[q] is t's inverse
         self.transversal = {point: identity}
+        self.inverse = {point: identity}
         self.processed = set()  # (orbit point, generator tuple) pairs already closed
 
 
@@ -182,7 +192,9 @@ class _Chain:
     acting at level i is the union of the generators of levels >= i.  After
     every public mutation the full strong-generating property holds: each
     basic orbit is closed under its level's acting set and every Schreier
-    generator sifts to the identity.
+    generator sifts to the identity.  At every level, ``inverse`` has the
+    keys of ``transversal`` and ``inverse[q]`` is the inverse of
+    ``transversal[q]``.
     """
 
     def __init__(self, degree: int, base_hint=()):
@@ -202,10 +214,10 @@ class _Chain:
             p = g[lvl.point]
             if p == lvl.point:
                 continue
-            t = lvl.transversal.get(p)
-            if t is None:
+            t_inv = lvl.inverse.get(p)
+            if t_inv is None:
                 return g, i
-            g = _compose(g, _inverse(t))
+            g = _compose(g, t_inv)
         return g, len(self.levels)
 
     def contains(self, g) -> bool:
@@ -258,6 +270,7 @@ class _Chain:
         gens = self.gens_from_level(i)
         processed = lvl.processed
         transversal = lvl.transversal
+        inverse = lvl.inverse
         pending = [
             (p, s) for p in list(transversal) for s in gens if (p, s) not in processed
         ]
@@ -267,13 +280,14 @@ class _Chain:
                 continue
             processed.add((p, s))
             q = s[p]
-            t_p = transversal[p]
-            t_q = transversal.get(q)
-            if t_q is None:
-                transversal[q] = _compose(t_p, s)
+            t_ps = _compose(transversal[p], s)
+            t_q_inv = inverse.get(q)
+            if t_q_inv is None:
+                transversal[q] = t_ps
+                inverse[q] = _inverse(t_ps)
                 pending.extend((q, g) for g in gens if (q, g) not in processed)
             else:
-                schreier = _compose(_compose(t_p, s), _inverse(t_q))
+                schreier = _compose(t_ps, t_q_inv)
                 if schreier != self.identity:
                     residue, k = self.sift(schreier, i + 1)
                     if residue != self.identity:
@@ -472,7 +486,10 @@ def orbits(group: PermGroup, domain=None) -> list[tuple[int, ...]]:
 
 
 def pointwise_stabilizer(group: PermGroup, points) -> PermGroup:
-    """Subgroup fixing every point of ``points`` (in order)."""
+    """Subgroup fixing every point of ``points`` (in order).
+
+    Memoized in ``group._cache`` under the de-duplicated point tuple.
+    """
     pts = []
     for p in points:
         if not 0 <= p < group.degree:
@@ -481,12 +498,17 @@ def pointwise_stabilizer(group: PermGroup, points) -> PermGroup:
             pts.append(p)
     if not pts:
         return group
+    key = ("stabilizer", tuple(pts))
+    if key in group._cache:
+        return group._cache[key]
     chain = _build_chain(group.degree, [g.images for g in group.generators], base_hint=pts)
     raw = chain.gens_from_level(len(pts))
     # the chain suffix below the fixed points is itself a valid chain
     sub = _Chain(group.degree)
     sub.levels = chain.levels[len(pts):]
-    return _group_from_chain(group.degree, raw, sub)
+    stabilizer = _group_from_chain(group.degree, raw, sub)
+    group._cache[key] = stabilizer
+    return stabilizer
 
 
 def normal_test_and_closure(group: PermGroup, subgroup) -> tuple[bool, PermGroup]:
@@ -508,10 +530,10 @@ def normal_test_and_closure(group: PermGroup, subgroup) -> tuple[bool, PermGroup
         if not group.contains_raw(g):
             raise NotASubgroup(f"element {Permutation(g).cycle_string()} is not in G")
 
-    g_gens = [g.images for g in group.generators]
+    g_gens = [(g.images, _inverse(g.images)) for g in group.generators]
     h_chain = _build_chain(group.degree, h_gens)
     is_normal = all(
-        h_chain.contains(_conjugate(h, g)) for h in h_gens for g in g_gens
+        h_chain.contains(_conjugate(h, g, gi)) for h in h_gens for g, gi in g_gens
     )
 
     closure_gens = list(h_gens)
@@ -519,8 +541,8 @@ def normal_test_and_closure(group: PermGroup, subgroup) -> tuple[bool, PermGroup
     queue = list(h_gens)
     while queue:
         x = queue.pop()
-        for g in g_gens:
-            c = _conjugate(x, g)
+        for g, gi in g_gens:
+            c = _conjugate(x, g, gi)
             if not closure_chain.contains(c):
                 closure_gens.append(c)
                 closure_chain.add_generator(c)
@@ -536,7 +558,7 @@ def conjugacy_class_representatives(group: PermGroup, cap: int = ENUMERATION_CAP
     if group.order() > cap:
         raise GroupTooLarge(f"order {group.order()} exceeds cap {cap}")
     elements = group.raw_elements(cap)
-    gens = [g.images for g in group.generators]
+    gens = [(g.images, _inverse(g.images)) for g in group.generators]
     unseen = set(elements)
     reps = []
     for e in elements:  # deterministic: enumeration order
@@ -546,8 +568,8 @@ def conjugacy_class_representatives(group: PermGroup, cap: int = ENUMERATION_CAP
         queue = [e]
         while queue:
             x = queue.pop()
-            for g in gens:
-                y = _conjugate(x, g)
+            for g, gi in gens:
+                y = _conjugate(x, g, gi)
                 if y not in cls:
                     cls.add(y)
                     queue.append(y)

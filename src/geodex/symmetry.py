@@ -17,16 +17,15 @@ from dataclasses import dataclass
 from . import graph as graphmod
 from . import perm as permmod
 from .errors import (
-    Acyclic,
     Disconnected,
     GraphTooLarge,
     NotAutomorphisms,
     NotTransitive,
     NotVertexTransitive,
     PreconditionUnverified,
-    SExceedsDiameter,
     ValencyNotPrimePowerPlusOne,
 )
+from .atlas import _prime_power
 from .graph import Graph
 from .perm import PermGroup, Permutation, build_group
 
@@ -662,22 +661,6 @@ def bi_analysis(graph: Graph, group: PermGroup) -> ActionClass:
 # ---------------------------------------------------------------------------
 # stabilizer structure (4-arc transitive graphs)
 # ---------------------------------------------------------------------------
-
-def _prime_power(q: int) -> tuple[int, int] | None:
-    if q < 2:
-        return None
-    for p in range(2, q + 1):
-        if p * p > q:
-            return (q, 1)
-        if q % p == 0:
-            f = 0
-            rest = q
-            while rest % p == 0:
-                rest //= p
-                f += 1
-            return (p, f) if rest == 1 else None
-    return None
-
 
 def _gl2_order(q: int) -> int:
     return (q * q - 1) * (q * q - q)

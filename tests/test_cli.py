@@ -147,3 +147,65 @@ def test_deterministic_output(capsys):
     _, first, _ = run(capsys, "transitivity", "--atlas", "heawood", "--format", "json")
     _, second, _ = run(capsys, "transitivity", "--atlas", "heawood", "--format", "json")
     assert first == second
+
+
+@pytest.mark.parametrize("spec", ["auto:x", "auto:-1", "auto:1.0"])
+def test_quotient_auto_index_malformed(capsys, spec):
+    code, out, _ = run(
+        capsys, "quotient", "--atlas", "foster", "--normal", spec, "--format", "json"
+    )
+    assert code == 1
+    assert json.loads(out)["error"] == "BadOption"
+
+
+def test_quotient_auto_index_out_of_range(capsys):
+    # foster has exactly one minimal normal subgroup with at least 3 orbits
+    code, out, _ = run(
+        capsys, "quotient", "--atlas", "foster", "--normal", "auto:5", "--format", "json"
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"] == "BadOption"
+    assert "only 1" in payload["message"]
+
+
+def test_missing_graph_file(capsys, tmp_path):
+    path = tmp_path / "absent.json"
+    code, out, _ = run(capsys, "analyze", "--graph", str(path), "--format", "json")
+    assert code == 1
+    assert json.loads(out)["error"] == "BadInputFile"
+
+
+def test_edge_list_without_edges(capsys, tmp_path):
+    path = tmp_path / "no-edges.json"
+    path.write_text(json.dumps({"n": 3}))
+    code, out, _ = run(capsys, "analyze", "--graph", str(path), "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"] == "BadInputFile"
+    assert "edges" in payload["message"]
+    code, out, err = run(capsys, "analyze", "--graph", str(path))
+    assert code == 1
+    assert out == ""
+    assert "BadInputFile" in err
+
+
+def test_missing_group_file(capsys, tmp_path):
+    path = tmp_path / "absent.json"
+    code, out, _ = run(
+        capsys, "transitivity", "--atlas", "petersen", "--group", str(path),
+        "--format", "json",
+    )
+    assert code == 1
+    assert json.loads(out)["error"] == "BadInputFile"
+
+
+def test_group_file_without_degree(capsys, tmp_path):
+    path = tmp_path / "no-degree.json"
+    path.write_text(json.dumps({"generators": []}))
+    code, out, _ = run(
+        capsys, "transitivity", "--atlas", "petersen", "--group", str(path),
+        "--format", "json",
+    )
+    assert code == 1
+    assert json.loads(out)["error"] == "BadInputFile"

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geodex import perm
 from geodex.errors import (
@@ -17,6 +19,42 @@ from geodex.perm import Permutation, build_group
 
 def cyc(degree, *cycles):
     return Permutation.from_cycles(cycles, degree)
+
+
+@st.composite
+def permutation_pairs(draw, max_degree=12):
+    n = draw(st.integers(min_value=1, max_value=max_degree))
+    p = tuple(draw(st.permutations(range(n))))
+    q = tuple(draw(st.permutations(range(n))))
+    return p, q
+
+
+class TestKernels:
+    """The image-tuple kernels against their naive definitions."""
+
+    # degrees 1 and 2 take both sides of the itemgetter guard in _compose
+    @settings(max_examples=200, deadline=None)
+    @given(permutation_pairs())
+    @example(((0,), (0,)))
+    @example(((1, 0), (1, 0)))
+    @example(((0, 1), (1, 0)))
+    def test_compose_inverse_conjugate(self, pair):
+        p, q = pair
+        n = len(p)
+        assert perm._compose(p, q) == tuple(q[p[i]] for i in range(n))
+        assert perm._inverse(p) == tuple(p.index(i) for i in range(n))
+        q_inv = tuple(q.index(i) for i in range(n))
+        # q^-1 * p * q, applied left to right
+        assert perm._conjugate(p, q, q_inv) == tuple(q[p[q_inv[i]]] for i in range(n))
+
+    def test_chain_stores_inverse_transversals(self, foster_aut):
+        group = build_group(foster_aut.generators)
+        identity = tuple(range(group.degree))
+        for lvl in group._chain.levels:
+            assert lvl.inverse.keys() == lvl.transversal.keys()
+            for q, t in lvl.transversal.items():
+                assert t[lvl.point] == q
+                assert perm._compose(t, lvl.inverse[q]) == identity
 
 
 class TestPermutation:
@@ -183,6 +221,20 @@ class TestPointwiseStabilizer:
                         orbit.add(img)
                         stack.append(img)
             assert len(orbit) * stab.order() == 120
+
+    def test_memoized_stabilizer_matches_fresh_build(self, foster, foster_aut):
+        group = build_group(foster_aut.generators)
+        a = foster.adjacency[0][0]
+        b = next(x for x in foster.adjacency[a] if x != 0)
+        for points in ([0], [0, a], [0, a, b], [a, 0, b]):
+            first = perm.pointwise_stabilizer(group, points)
+            # repeated points fall on the same entry as their de-duplication
+            assert perm.pointwise_stabilizer(group, points + points) is first
+            fresh = perm.pointwise_stabilizer(build_group(foster_aut.generators), points)
+            assert first is not fresh
+            assert first.order() == fresh.order()
+            assert perm.same_group(first, fresh)
+            assert all(g(p) == p for g in first.generators for p in points)
 
     def test_petersen_two_geodesic_stabilizer(self, petersen, petersen_aut):
         from geodex.graph import first_geodesic
