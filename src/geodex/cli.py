@@ -226,7 +226,7 @@ def cmd_quotient(args) -> int:
     if s is None:
         g = result.girth_pair[0]
         if g is not None:
-            s = (g + 2) // 2 if g % 2 == 0 else (g + 1) // 2
+            s = quotientmod.girth_window_level(g)
     if s is not None and result.is_cover:
         bound = quotientmod.girth_bound_check(graph, result, s)
         payload["girth_bound_check"] = bound.to_json()

@@ -121,12 +121,11 @@ def graph_from_json(data: dict) -> Graph:
 # ---------------------------------------------------------------------------
 
 def distances(graph: Graph, u: int) -> tuple[int, ...]:
-    """BFS distance vector from u; requires a connected graph."""
+    """Distance vector from u (a row of the cached distance matrix);
+    requires a connected graph."""
     if not 0 <= u < graph.n:
         raise VertexOutOfRange(f"vertex {u} outside 0..{graph.n - 1}")
-    if not graph.connected:
-        raise Disconnected("distance vector undefined on a disconnected graph")
-    return _distance_row(graph, u)
+    return distance_matrix(graph)[u]
 
 
 def _distance_row(graph: Graph, u: int) -> tuple[int, ...]:
@@ -259,20 +258,32 @@ def shortest_cycle_through_edge(graph: Graph, u: int, v: int) -> list[int] | Non
 # arcs and geodesics
 # ---------------------------------------------------------------------------
 
-def enumerate_arcs(graph: Graph, s: int) -> list[tuple[int, ...]]:
-    """All s-arcs: walks with consecutive adjacency and no immediate backtrack."""
+def _arcs(graph: Graph, s: int):
+    """s-arcs in lexicographic order (depth-first over sorted neighbors)."""
     if s < 1:
         raise ValueError("s must be at least 1")
     adjacency = graph.adjacency
-    arcs = [(u, v) for u in range(graph.n) for v in adjacency[u]]
-    for _ in range(s - 1):
-        arcs = [
-            arc + (w,)
-            for arc in arcs
-            for w in adjacency[arc[-1]]
-            if w != arc[-2]
-        ]
-    return arcs
+    for u in range(graph.n):
+        stack = [(u,)]
+        while stack:
+            arc = stack.pop()
+            if len(arc) == s + 1:
+                yield arc
+                continue
+            prev = arc[-2] if len(arc) >= 2 else -1
+            for w in reversed(adjacency[arc[-1]]):
+                if w != prev:
+                    stack.append(arc + (w,))
+
+
+def enumerate_arcs(graph: Graph, s: int) -> list[tuple[int, ...]]:
+    """All s-arcs: walks with consecutive adjacency and no immediate backtrack."""
+    return list(_arcs(graph, s))
+
+
+def first_arc(graph: Graph, s: int) -> tuple[int, ...] | None:
+    """Lexicographically least s-arc, or None."""
+    return next(_arcs(graph, s), None)
 
 
 def count_arcs(graph: Graph, s: int) -> int:
@@ -290,29 +301,15 @@ def count_arcs(graph: Graph, s: int) -> int:
     return sum(counts.values())
 
 
-def first_arc(graph: Graph, s: int) -> tuple[int, ...] | None:
-    """Lexicographically least s-arc, or None."""
-    if s < 1:
-        raise ValueError("s must be at least 1")
-    adjacency = graph.adjacency
-    for start in range(graph.n):
-        stack = [(start,)]
-        while stack:
-            arc = stack.pop()
-            if len(arc) == s + 1:
-                return arc
-            prev = arc[-2] if len(arc) >= 2 else -1
-            for w in reversed(adjacency[arc[-1]]):
-                if w != prev:
-                    stack.append(arc + (w,))
-    return None
+def _geodesics(graph: Graph, s: int):
+    """s-geodesics in lexicographic order.
 
-
-def enumerate_geodesics(graph: Graph, s: int) -> list[tuple[int, ...]]:
-    """All s-geodesics: s-arcs whose endpoints are at distance exactly s."""
+    Descends the BFS level structure with backtracking: a branch can dead-end
+    on a vertex with no neighbor in the next level, so greedy descent alone
+    would be wrong.
+    """
     _check_geodesic_level(graph, s)
     dist = distance_matrix(graph)
-    out = []
     adjacency = graph.adjacency
     for u in range(graph.n):
         du = dist[u]
@@ -320,13 +317,22 @@ def enumerate_geodesics(graph: Graph, s: int) -> list[tuple[int, ...]]:
         while stack:
             path = stack.pop()
             if len(path) == s + 1:
-                out.append(path)
+                yield path
                 continue
             depth = len(path)
             for w in reversed(adjacency[path[-1]]):
                 if du[w] == depth:
                     stack.append(path + (w,))
-    return out
+
+
+def enumerate_geodesics(graph: Graph, s: int) -> list[tuple[int, ...]]:
+    """All s-geodesics: s-arcs whose endpoints are at distance exactly s."""
+    return list(_geodesics(graph, s))
+
+
+def first_geodesic(graph: Graph, s: int) -> tuple[int, ...] | None:
+    """Lexicographically least s-geodesic, or None."""
+    return next(_geodesics(graph, s), None)
 
 
 def count_geodesics(graph: Graph, s: int) -> int:
@@ -345,29 +351,6 @@ def count_geodesics(graph: Graph, s: int) -> int:
             level = nxt
         total += sum(level.values())
     return total
-
-
-def first_geodesic(graph: Graph, s: int) -> tuple[int, ...] | None:
-    """Lexicographically least s-geodesic, or None.
-
-    Descends the BFS level structure with backtracking: a branch can dead-end
-    on a vertex with no neighbor in the next level, so greedy descent alone
-    would be wrong.
-    """
-    _check_geodesic_level(graph, s)
-    dist = distance_matrix(graph)
-    for u in range(graph.n):
-        du = dist[u]
-        stack = [(u,)]
-        while stack:
-            path = stack.pop()
-            if len(path) == s + 1:
-                return path
-            depth = len(path)
-            for w in reversed(graph.adjacency[path[-1]]):
-                if du[w] == depth:
-                    stack.append(path + (w,))
-    return None
 
 
 def _check_geodesic_level(graph: Graph, s: int) -> None:

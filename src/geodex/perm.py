@@ -59,6 +59,20 @@ def _conjugate(x, g, gi):
     return _compose(_compose(gi, x), g)
 
 
+def _orbit(gens, seeds) -> set[int]:
+    """Closure of the point set ``seeds`` under the image tuples ``gens``."""
+    out = set(seeds)
+    queue = list(out)
+    while queue:
+        p = queue.pop()
+        for g in gens:
+            q = g[p]
+            if q not in out:
+                out.add(q)
+                queue.append(q)
+    return out
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A permutation of {0, ..., degree-1} stored as its image tuple."""
@@ -343,15 +357,18 @@ class PermGroup:
 
     # -- element access ----------------------------------------------------
 
-    def elements(self, cap: int = ENUMERATION_CAP) -> list[Permutation]:
-        return [Permutation(t) for t in self.raw_elements(cap)]
+    def elements(self) -> list[Permutation]:
+        return [Permutation(t) for t in self.raw_elements()]
 
-    def raw_elements(self, cap: int = ENUMERATION_CAP) -> list[tuple[int, ...]]:
-        """All elements as image tuples, deterministically ordered."""
+    def raw_elements(self) -> list[tuple[int, ...]]:
+        """All elements as image tuples, deterministically ordered.
+
+        Raises GroupTooLarge above ENUMERATION_CAP elements.
+        """
         if "elements" in self._cache:
             return self._cache["elements"]
-        if self.order() > cap:
-            raise GroupTooLarge(f"order {self.order()} exceeds cap {cap}")
+        if self.order() > ENUMERATION_CAP:
+            raise GroupTooLarge(f"order {self.order()} exceeds cap {ENUMERATION_CAP}")
         levels = self._chain.levels
         out = [self._chain.identity]
         for lvl in reversed(levels):
@@ -366,25 +383,12 @@ class PermGroup:
     def orbit(self, point: int) -> frozenset[int]:
         if not 0 <= point < self.degree:
             raise PointOutOfRange(f"point {point} outside 0..{self.degree - 1}")
-        gens = [g.images for g in self.generators]
-        seen = {point}
-        queue = [point]
-        while queue:
-            p = queue.pop()
-            for g in gens:
-                q = g[p]
-                if q not in seen:
-                    seen.add(q)
-                    queue.append(q)
-        return frozenset(seen)
+        return frozenset(_orbit([g.images for g in self.generators], (point,)))
 
     def is_transitive(self, domain=None) -> bool:
-        pts = sorted(domain) if domain is not None else range(self.degree)
-        pts = list(pts)
-        if not pts:
-            return True
-        orb = self.orbit(pts[0])
-        return all(p in orb for p in pts)
+        """True iff ``domain`` (default: all points) is exactly one orbit."""
+        pts = set(range(self.degree) if domain is None else domain)
+        return not pts or self.orbit(min(pts)) == pts
 
     def is_abelian(self) -> bool:
         gens = [g.images for g in self.generators]
@@ -458,7 +462,8 @@ def orbits(group: PermGroup, domain=None) -> list[tuple[int, ...]]:
     """Orbit partition of ``domain`` (default: all points), sorted by minimum."""
     if domain is None:
         domain = range(group.degree)
-    pts = sorted(set(domain))
+    domain = set(domain)
+    pts = sorted(domain)
     for p in pts:
         if not 0 <= p < group.degree:
             raise PointOutOfRange(f"point {p} outside 0..{group.degree - 1}")
@@ -468,16 +473,8 @@ def orbits(group: PermGroup, domain=None) -> list[tuple[int, ...]]:
     for p in pts:
         if p in seen:
             continue
-        cell = {p}
-        queue = [p]
-        while queue:
-            x = queue.pop()
-            for g in gens:
-                y = g[x]
-                if y not in cell:
-                    cell.add(y)
-                    queue.append(y)
-        if not cell.issubset(set(pts)):
+        cell = _orbit(gens, (p,))
+        if not cell <= domain:
             # orbits leaving the domain mean the domain is not invariant
             raise PointOutOfRange(f"domain is not invariant: orbit of {p} leaves it")
         seen |= cell
@@ -551,13 +548,11 @@ def normal_test_and_closure(group: PermGroup, subgroup) -> tuple[bool, PermGroup
     return is_normal, closure
 
 
-def conjugacy_class_representatives(group: PermGroup, cap: int = ENUMERATION_CAP) -> list[Permutation]:
+def conjugacy_class_representatives(group: PermGroup) -> list[Permutation]:
     """One representative per conjugacy class (the lexicographically least element)."""
     if "class_reps" in group._cache:
         return group._cache["class_reps"]
-    if group.order() > cap:
-        raise GroupTooLarge(f"order {group.order()} exceeds cap {cap}")
-    elements = group.raw_elements(cap)
+    elements = group.raw_elements()  # GroupTooLarge above ENUMERATION_CAP
     gens = [(g.images, _inverse(g.images)) for g in group.generators]
     unseen = set(elements)
     reps = []
@@ -589,7 +584,7 @@ def same_group(a: PermGroup, b: PermGroup) -> bool:
     return a.order() == b.order() and is_subgroup_of(a, b)
 
 
-def normal_structure(group: PermGroup, cap: int = ENUMERATION_CAP) -> tuple[list[PermGroup], PermGroup]:
+def normal_structure(group: PermGroup) -> tuple[list[PermGroup], PermGroup]:
     """(minimal normal subgroups, socle).
 
     Minimal normal subgroups are found as inclusion-minimal normal closures
@@ -598,15 +593,13 @@ def normal_structure(group: PermGroup, cap: int = ENUMERATION_CAP) -> tuple[list
     """
     if "normal_structure" in group._cache:
         return group._cache["normal_structure"]
-    if group.order() > cap:
-        raise GroupTooLarge(f"order {group.order()} exceeds cap {cap}")
     if group.order() == 1:
         result = ([], build_group([], degree=group.degree))
         group._cache["normal_structure"] = result
         return result
 
     closures: list[PermGroup] = []
-    for rep in conjugacy_class_representatives(group, cap):
+    for rep in conjugacy_class_representatives(group):
         if rep.is_identity():
             continue
         _, closure = normal_test_and_closure(group, [rep])

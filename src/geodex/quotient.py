@@ -164,6 +164,11 @@ class GirthBoundReport:
         }
 
 
+def girth_window_level(girth: int) -> int:
+    """The level s whose girth window {2s-2, 2s-1} holds ``girth``."""
+    return girth // 2 + 1
+
+
 def girth_bound_check(graph: Graph, result: QuotientResult, s: int) -> GirthBoundReport:
     """Check 2s-4 <= girth(quotient) <= girth(graph) and that the quotient is
     (s-1)-arc transitive but not s-arc transitive under the induced group.
@@ -298,8 +303,7 @@ def lift_cycle_profile(graph: Graph, result: QuotientResult, cycle) -> LiftProfi
     if g_cover is None or k >= g_cover:
         raise CycleTooLong(f"cycle length {k} is not below the cover girth {g_cover}")
 
-    # the girth window forces s: girth = 2s-2 (even) or 2s-1 (odd)
-    s = (g_cover + 2) // 2 if g_cover % 2 == 0 else (g_cover + 1) // 2
+    s = girth_window_level(g_cover)
     diam = graphmod.diameter(graph)
     premise_ok = s >= 2 and s <= diam and _cached_geodesic_transitive(result, s)
 

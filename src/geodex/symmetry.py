@@ -11,7 +11,6 @@ count), never by listing tuple orbits.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from . import graph as graphmod
@@ -60,15 +59,6 @@ def _initial_colors(graph: Graph):
     return _refine(graph.adjacency, [ids[d] for d in degs])
 
 
-def _distance_rows(graph: Graph):
-    """All-pairs BFS distances with -1 for unreachable pairs (cached)."""
-    if "distrows" not in graph._cache:
-        graph._cache["distrows"] = tuple(
-            graphmod._distance_row(graph, u) for u in range(graph.n)
-        )
-    return graph._cache["distrows"]
-
-
 # ---------------------------------------------------------------------------
 # the backtracking search
 # ---------------------------------------------------------------------------
@@ -85,7 +75,7 @@ def _search_map(g1, g2, colors1, colors2, seeds):
     if g2.n != n:
         return None
     adj1, adj2 = g1.adjacency, g2.adjacency
-    dist1, dist2 = _distance_rows(g1), _distance_rows(g2)
+    dist1, dist2 = graphmod.distance_matrix(g1), graphmod.distance_matrix(g2)
 
     mapping = [-1] * n
     used = [False] * g2.n
@@ -121,9 +111,6 @@ def _search_map(g1, g2, colors1, colors2, seeds):
         if not assign(u, t):
             return None
 
-    if len(_bfs_sources(adj1, [u for u, _ in seeds])) != n:
-        return None  # disconnected source side
-
     def extend() -> bool:
         if len(mapped) == n:
             return True
@@ -153,41 +140,18 @@ def _search_map(g1, g2, colors1, colors2, seeds):
     return result
 
 
-def _bfs_sources(adjacency, roots):
-    seen = set(roots)
-    queue = deque(roots)
-    while queue:
-        x = queue.popleft()
-        for y in adjacency[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
-
-
-def _closure(gens_raw, seed):
-    out = set(seed)
-    queue = list(seed)
-    while queue:
-        p = queue.pop()
-        for g in gens_raw:
-            q = g[p]
-            if q not in out:
-                out.add(q)
-                queue.append(q)
-    return out
-
-
-def automorphism_group(graph: Graph, cap: int = AUTOMORPHISM_VERTEX_CAP) -> PermGroup:
+def automorphism_group(graph: Graph) -> PermGroup:
     """Full automorphism group via individualization plus backtracking.
 
     Builds generators level by level along a base: at each level it finds one
     automorphism per new orbit point of the chosen branch vertex, skipping
     targets already reachable (or already refuted) under the generators found
-    so far.
+    so far.  Raises GraphTooLarge above AUTOMORPHISM_VERTEX_CAP vertices.
     """
-    if graph.n > cap:
-        raise GraphTooLarge(f"{graph.n} vertices exceeds the search cap {cap}")
+    if graph.n > AUTOMORPHISM_VERTEX_CAP:
+        raise GraphTooLarge(
+            f"{graph.n} vertices exceeds the search cap {AUTOMORPHISM_VERTEX_CAP}"
+        )
     if graph.n == 0 or not graph.connected:
         raise Disconnected("automorphism search requires a connected graph")
     base_colors = _initial_colors(graph)
@@ -217,7 +181,7 @@ def automorphism_group(graph: Graph, cap: int = AUTOMORPHISM_VERTEX_CAP) -> Perm
         for w in sorted(branch):
             if w == v or w in reached:
                 continue
-            orbit_w = _closure(level_gens, {w})
+            orbit_w = permmod._orbit(level_gens, (w,))
             if orbit_w & failed:
                 failed |= orbit_w
                 continue
@@ -226,7 +190,7 @@ def automorphism_group(graph: Graph, cap: int = AUTOMORPHISM_VERTEX_CAP) -> Perm
             )
             if found is not None:
                 level_gens.append(found)
-                reached = _closure(level_gens, {v})
+                reached = permmod._orbit(level_gens, (v,))
             else:
                 failed |= orbit_w
         gens_raw.extend(level_gens)
@@ -309,10 +273,10 @@ def _match_components(g1: Graph, g2: Graph):
     Greedy is complete here: isomorphism between components is an equivalence
     relation, so any isomorphic partner is as good as any other.
     """
-    comps1 = [_subgraph(g1, c) for c in _components(g1)]
-    comps2 = [_subgraph(g2, c) for c in _components(g2)]
     verts1 = _components(g1)
     verts2 = _components(g2)
+    comps1 = [_subgraph(g1, c) for c in verts1]
+    comps2 = [_subgraph(g2, c) for c in verts2]
     unused = list(range(len(comps2)))
     mapping = [-1] * g1.n
     for i, sub1 in enumerate(comps1):
@@ -348,10 +312,16 @@ def validate_automorphisms(graph: Graph, group: PermGroup) -> None:
                 )
 
 
-def _tuple_orbit_matches(graph: Graph, group: PermGroup, rep, total: int) -> bool:
-    """True iff the G-orbit of ``rep`` has size ``total`` (orbit-stabilizer)."""
-    stab = permmod.pointwise_stabilizer(group, rep)
-    return group.order() == total * stab.order()
+def _tuple_orbit_matches(group: PermGroup, rep, total: int) -> bool:
+    """True iff the G-orbit of ``rep`` has size ``total`` (orbit-stabilizer).
+
+    An orbit size divides |G|, so no stabilizer is built when ``total`` does
+    not (this covers ``total == 0``, where ``rep`` is None).
+    """
+    order = group.order()
+    if total == 0 or order % total:
+        return False
+    return order == total * permmod.pointwise_stabilizer(group, rep).order()
 
 
 def is_s_arc_transitive(graph: Graph, group: PermGroup, s: int) -> bool:
@@ -359,11 +329,12 @@ def is_s_arc_transitive(graph: Graph, group: PermGroup, s: int) -> bool:
     if s < 1:
         raise ValueError("s must be at least 1")
     validate_automorphisms(graph, group)
+    return _arc_level_transitive(graph, group, s)
+
+
+def _arc_level_transitive(graph: Graph, group: PermGroup, s: int) -> bool:
     total = graphmod.count_arcs(graph, s)
-    if total == 0:
-        return False
-    rep = graphmod.first_arc(graph, s)
-    return _tuple_orbit_matches(graph, group, rep, total)
+    return _tuple_orbit_matches(group, graphmod.first_arc(graph, s), total)
 
 
 def is_s_geodesic_transitive(graph: Graph, group: PermGroup, s: int) -> bool:
@@ -375,10 +346,7 @@ def is_s_geodesic_transitive(graph: Graph, group: PermGroup, s: int) -> bool:
 
 def _geodesic_level_transitive(graph: Graph, group: PermGroup, i: int) -> bool:
     total = graphmod.count_geodesics(graph, i)
-    if total == 0:
-        return False
-    rep = graphmod.first_geodesic(graph, i)
-    return _tuple_orbit_matches(graph, group, rep, total)
+    return _tuple_orbit_matches(group, graphmod.first_geodesic(graph, i), total)
 
 
 @dataclass(frozen=True)
@@ -415,23 +383,16 @@ def transitivity_degrees(graph: Graph, group: PermGroup) -> TransitivityReport:
         raise NotVertexTransitive("transitivity degrees need a vertex-transitive group")
 
     d = graphmod.diameter(graph)
-    order = group.order()
 
     # cycles are s-arc transitive for every s under the dihedral group, so
-    # the scan for valency <= 2 is capped at the diameter
+    # the scan for valency <= 2 is capped at the diameter; otherwise it ends
+    # at the latest once the s-arcs outnumber the group
     capped = graph.valency <= 2 if graph.is_regular() else False
     arc_degree = 0
-    s = 1
-    while True:
-        if capped and s > d:
-            break
-        total = graphmod.count_arcs(graph, s)
-        if total == 0 or total > order:
-            break
-        if not is_s_arc_transitive(graph, group, s):
-            break
-        arc_degree = s
-        s += 1
+    while not (capped and arc_degree >= d) and _arc_level_transitive(
+        graph, group, arc_degree + 1
+    ):
+        arc_degree += 1
 
     array = graphmod.intersection_array(graph) if graph.is_regular() else None
     geodesic_degree = 0
@@ -731,7 +692,7 @@ def weiss_divisibility_check(graph: Graph, group: PermGroup, s: int) -> WeissRep
         raise ValencyNotPrimePowerPlusOne(f"valency {k} is not q+1 for a prime power q")
     q = k - 1
     p, f = pf
-    if not is_s_arc_transitive(graph, group, s):
+    if not _arc_level_transitive(graph, group, s):
         raise PreconditionUnverified(
             "s-arc transitivity",
             f"(G,{s})-arc transitivity does not hold (diameter {graphmod.diameter(graph)})",

@@ -136,9 +136,18 @@ class TestArcs:
                 assert sorted(G.enumerate_arcs(g, s)) == sorted(recursive_arcs(g, s))
                 assert G.count_arcs(g, s) == len(recursive_arcs(g, s))
 
-    def test_first_arc_is_least(self, petersen):
-        arcs = sorted(G.enumerate_arcs(petersen, 3))
-        assert G.first_arc(petersen, 3) == arcs[0]
+    def test_first_arc_is_least(self, petersen, foster):
+        # enumeration is lexicographic and first_arc is its head
+        for g in (petersen, foster):
+            for s in (1, 2, 3, 4):
+                arcs = G.enumerate_arcs(g, s)
+                assert arcs == sorted(arcs)
+                assert G.first_arc(g, s) == arcs[0]
+
+    def test_no_arc(self):
+        k2 = G.build_graph(2, [(0, 1)])
+        assert G.first_arc(k2, 2) is None
+        assert G.enumerate_arcs(k2, 2) == []
 
 
 class TestGeodesics:
@@ -168,9 +177,13 @@ class TestGeodesics:
                     geodesics_by_filter(g, s)
                 )
 
-    def test_first_geodesic_is_geodesic(self, foster):
-        rep = G.first_geodesic(foster, 5)
-        assert rep in set(G.enumerate_geodesics(foster, 5))
+    def test_first_geodesic_is_geodesic(self, petersen, foster):
+        # enumeration is lexicographic and first_geodesic is its head
+        for g in (petersen, foster):
+            for s in range(1, G.diameter(g) + 1):
+                geos = G.enumerate_geodesics(g, s)
+                assert geos == sorted(geos)
+                assert G.first_geodesic(g, s) == geos[0]
 
 
 class TestIntersectionData:

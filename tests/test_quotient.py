@@ -88,6 +88,11 @@ class TestNormalQuotient:
 
 
 class TestGirthBoundCheck:
+    def test_level_window(self):
+        for g in range(3, 61):
+            s = Q.girth_window_level(g)
+            assert g in (2 * s - 2, 2 * s - 1)
+
     def test_foster_instance(self, foster, foster_quotient):
         report = Q.girth_bound_check(foster, foster_quotient, 6)
         assert (report.lower, report.quotient_girth, report.cover_girth) == (8, 8, 10)

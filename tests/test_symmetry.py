@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from geodex import graph as graphmod
 from geodex import perm
 from geodex import symmetry as S
 from geodex.atlas import atlas_get, pg2_incidence
@@ -58,9 +59,26 @@ class TestAutomorphismGroup:
         with pytest.raises(Disconnected):
             S.automorphism_group(build_graph(4, [(0, 1), (2, 3)]))
 
-    def test_cap(self, petersen):
+    def test_cap(self, petersen, monkeypatch):
+        monkeypatch.setattr(S, "AUTOMORPHISM_VERTEX_CAP", 5)
         with pytest.raises(GraphTooLarge):
-            S.automorphism_group(petersen, cap=5)
+            S.automorphism_group(petersen)
+
+    def test_one_distance_row_per_vertex(self, monkeypatch):
+        # every question reads the one cached distance matrix of the graph
+        rows = []
+        original = graphmod._distance_row
+
+        def counted(graph, u):
+            rows.append(u)
+            return original(graph, u)
+
+        monkeypatch.setattr(graphmod, "_distance_row", counted)
+        foster = atlas_get("foster").graph
+        aut = S.automorphism_group(foster)
+        S.transitivity_degrees(foster, aut)
+        S.weiss_divisibility_check(foster, aut, 5)
+        assert sorted(rows) == list(range(foster.n))
 
     def test_semisymmetric_hexagon(self, ctx):
         aut = ctx.aut("hexagon-q2")
@@ -215,6 +233,15 @@ class TestBlocksAndPrimitivity:
         g = build_group([cyc(4, (0, 1))])
         with pytest.raises(NotTransitive):
             S.block_systems(g)
+
+    def test_domain_must_be_a_whole_orbit(self):
+        # [0, 1] lies inside the single orbit of S3 but is not invariant
+        s3 = build_group([cyc(3, (0, 1, 2)), cyc(3, (0, 1))])
+        assert not s3.is_transitive([0, 1])
+        assert s3.is_transitive([2, 0, 1])
+        for decider in (S.block_systems, S.is_primitive, S.quasiprimitivity):
+            with pytest.raises(NotTransitive):
+                decider(s3, [0, 1])
 
 
 class TestQuasiprimitivity:
