@@ -437,9 +437,15 @@ class IntersectionArray:
 
 
 def intersection_array(graph: Graph) -> IntersectionArray | None:
-    """The intersection array, or None when the graph is not distance-regular."""
+    """The intersection array (cached), or None when the graph is not distance-regular."""
     if not graph.is_regular():
         raise NotRegular("intersection array requires a regular graph")
+    if "intersection_array" not in graph._cache:
+        graph._cache["intersection_array"] = _intersection_array(graph)
+    return graph._cache["intersection_array"]
+
+
+def _intersection_array(graph: Graph) -> IntersectionArray | None:
     reference = None
     for u in range(graph.n):
         data = intersection_data(graph, u)

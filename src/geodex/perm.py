@@ -12,8 +12,10 @@ residue, so the same generator list always produces the same chain.
 Each chain level stores its transversal together with the inverse of every
 transversal element (``inverse[q]`` is the inverse of ``transversal[q]``), so
 sifting and Schreier generators never invert.  Composition runs at C level
-through ``operator.itemgetter``.  Pointwise stabilizers are memoized per group
-under their de-duplicated point tuple.
+through ``operator.itemgetter``.  A chain built with base hint (p0, ..., pk)
+holds, in its levels from j on, a chain for the stabilizer of p0..p(j-1); so
+one build of a pointwise stabilizer memoizes, per group, the stabilizer of
+every prefix of its de-duplicated point tuple.
 """
 
 from __future__ import annotations
@@ -485,7 +487,8 @@ def orbits(group: PermGroup, domain=None) -> list[tuple[int, ...]]:
 def pointwise_stabilizer(group: PermGroup, points) -> PermGroup:
     """Subgroup fixing every point of ``points`` (in order).
 
-    Memoized in ``group._cache`` under the de-duplicated point tuple.
+    One chain build memoizes, in ``group._cache``, the stabilizer of every
+    prefix of the de-duplicated point tuple.
     """
     pts = []
     for p in points:
@@ -499,13 +502,14 @@ def pointwise_stabilizer(group: PermGroup, points) -> PermGroup:
     if key in group._cache:
         return group._cache[key]
     chain = _build_chain(group.degree, [g.images for g in group.generators], base_hint=pts)
-    raw = chain.gens_from_level(len(pts))
-    # the chain suffix below the fixed points is itself a valid chain
-    sub = _Chain(group.degree)
-    sub.levels = chain.levels[len(pts):]
-    stabilizer = _group_from_chain(group.degree, raw, sub)
-    group._cache[key] = stabilizer
-    return stabilizer
+    for j in range(1, len(pts) + 1):
+        prefix = ("stabilizer", tuple(pts[:j]))
+        if prefix not in group._cache:
+            # the chain suffix below the first j base points is itself a chain
+            sub = _Chain(group.degree)
+            sub.levels = chain.levels[j:]
+            group._cache[prefix] = _group_from_chain(group.degree, chain.gens_from_level(j), sub)
+    return group._cache[key]
 
 
 def normal_test_and_closure(group: PermGroup, subgroup) -> tuple[bool, PermGroup]:
@@ -528,24 +532,23 @@ def normal_test_and_closure(group: PermGroup, subgroup) -> tuple[bool, PermGroup
             raise NotASubgroup(f"element {Permutation(g).cycle_string()} is not in G")
 
     g_gens = [(g.images, _inverse(g.images)) for g in group.generators]
-    h_chain = _build_chain(group.degree, h_gens)
+    # one chain: H's chain tests normality, then grows into the closure's
+    chain = _build_chain(group.degree, h_gens)
     is_normal = all(
-        h_chain.contains(_conjugate(h, g, gi)) for h in h_gens for g, gi in g_gens
+        chain.contains(_conjugate(h, g, gi)) for h in h_gens for g, gi in g_gens
     )
 
     closure_gens = list(h_gens)
-    closure_chain = _build_chain(group.degree, closure_gens)
     queue = list(h_gens)
     while queue:
         x = queue.pop()
         for g, gi in g_gens:
             c = _conjugate(x, g, gi)
-            if not closure_chain.contains(c):
+            if not chain.contains(c):
                 closure_gens.append(c)
-                closure_chain.add_generator(c)
+                chain.add_generator(c)
                 queue.append(c)
-    closure = _group_from_chain(group.degree, closure_gens, closure_chain)
-    return is_normal, closure
+    return is_normal, _group_from_chain(group.degree, closure_gens, chain)
 
 
 def conjugacy_class_representatives(group: PermGroup) -> list[Permutation]:

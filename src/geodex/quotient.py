@@ -192,15 +192,13 @@ def girth_bound_check(graph: Graph, result: QuotientResult, s: int) -> GirthBoun
         and g_cover is not None
         and lower <= g_quot <= g_cover
     )
-    prev_arc = None
-    arc_s = None
-    if s >= 2:
-        prev_arc = (
-            symmod.is_s_arc_transitive(result.quotient, result.induced, s - 1)
-            if s - 1 >= 1
-            else None
-        )
-        arc_s = symmod.is_s_arc_transitive(result.quotient, result.induced, s)
+    # both levels read prefixes of one arc, so they share one chain; with no s-arc
+    # (valency 1), level s fails on its zero count and level s-1 reads an (s-1)-arc
+    quotient, induced = result.quotient, result.induced
+    symmod.validate_automorphisms(quotient, induced)
+    arc = graphmod.first_arc(quotient, s) or graphmod.first_arc(quotient, s - 1)
+    prev_arc = symmod._level_transitive(induced, arc, s - 1, graphmod.count_arcs(quotient, s - 1))
+    arc_s = symmod._level_transitive(induced, arc, s, graphmod.count_arcs(quotient, s))
     if s == 7:
         verdict = "excluded-s7"
     elif not all(premises.values()):
@@ -399,7 +397,6 @@ def verify_reduction(graph: Graph, group: PermGroup, normal_subgroup: PermGroup,
             "girth in {2s-2, 2s-1}",
             f"girth {g} not in {{{2 * s - 2}, {2 * s - 1}}}",
         )
-    symmod.validate_automorphisms(graph, group)
     if not symmod.is_s_geodesic_transitive(graph, group, s):
         raise PreconditionUnverified(
             "s-geodesic transitivity", f"(G,{s})-geodesic transitivity fails"

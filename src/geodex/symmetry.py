@@ -312,16 +312,19 @@ def validate_automorphisms(graph: Graph, group: PermGroup) -> None:
                 )
 
 
-def _tuple_orbit_matches(group: PermGroup, rep, total: int) -> bool:
-    """True iff the G-orbit of ``rep`` has size ``total`` (orbit-stabilizer).
+def _level_transitive(group: PermGroup, path, i: int, total: int) -> bool:
+    """True iff G is transitive on the ``total`` level-i tuples, of which
+    ``path[:i+1]`` is one (orbit-stabilizer).
 
     An orbit size divides |G|, so no stabilizer is built when ``total`` does
-    not (this covers ``total == 0``, where ``rep`` is None).
+    not (this covers ``total == 0``, where ``path`` may be None).  Otherwise
+    one build for the whole path memoizes the stabilizer of every prefix.
     """
     order = group.order()
     if total == 0 or order % total:
         return False
-    return order == total * permmod.pointwise_stabilizer(group, rep).order()
+    permmod.pointwise_stabilizer(group, path)
+    return order == total * permmod.pointwise_stabilizer(group, path[: i + 1]).order()
 
 
 def is_s_arc_transitive(graph: Graph, group: PermGroup, s: int) -> bool:
@@ -329,24 +332,18 @@ def is_s_arc_transitive(graph: Graph, group: PermGroup, s: int) -> bool:
     if s < 1:
         raise ValueError("s must be at least 1")
     validate_automorphisms(graph, group)
-    return _arc_level_transitive(graph, group, s)
-
-
-def _arc_level_transitive(graph: Graph, group: PermGroup, s: int) -> bool:
-    total = graphmod.count_arcs(graph, s)
-    return _tuple_orbit_matches(group, graphmod.first_arc(graph, s), total)
+    return _level_transitive(group, graphmod.first_arc(graph, s), s, graphmod.count_arcs(graph, s))
 
 
 def is_s_geodesic_transitive(graph: Graph, group: PermGroup, s: int) -> bool:
     """G transitive on i-geodesics for every i <= s."""
     validate_automorphisms(graph, group)
     graphmod._check_geodesic_level(graph, s)
-    return all(_geodesic_level_transitive(graph, group, i) for i in range(1, s + 1))
-
-
-def _geodesic_level_transitive(graph: Graph, group: PermGroup, i: int) -> bool:
-    total = graphmod.count_geodesics(graph, i)
-    return _tuple_orbit_matches(group, graphmod.first_geodesic(graph, i), total)
+    path = graphmod.first_geodesic(graph, s)
+    return all(
+        _level_transitive(group, path, i, graphmod.count_geodesics(graph, i))
+        for i in range(1, s + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -386,21 +383,27 @@ def transitivity_degrees(graph: Graph, group: PermGroup) -> TransitivityReport:
 
     # cycles are s-arc transitive for every s under the dihedral group, so
     # the scan for valency <= 2 is capped at the diameter; otherwise it ends
-    # at the latest once the s-arcs outnumber the group
+    # at the latest once the s-arcs outnumber the group.  Every level reads
+    # a prefix of one arc that reaches the last level.
     capped = graph.valency <= 2 if graph.is_regular() else False
+    counts = []
+    while (len(counts) < d) if capped else (not counts or counts[-1] <= group.order()):
+        counts.append(graphmod.count_arcs(graph, len(counts) + 1))
+    arc = graphmod.first_arc(graph, len(counts)) if counts else None
     arc_degree = 0
-    while not (capped and arc_degree >= d) and _arc_level_transitive(
-        graph, group, arc_degree + 1
+    while arc_degree < len(counts) and _level_transitive(
+        group, arc, arc_degree + 1, counts[arc_degree]
     ):
         arc_degree += 1
 
     array = graphmod.intersection_array(graph) if graph.is_regular() else None
+    geodesic = graphmod.first_geodesic(graph, d) if d else None
     geodesic_degree = 0
     geodesic_transitive = False
     shortcut_used = False
     shortcut_level = None
     for i in range(1, d + 1):
-        if not _geodesic_level_transitive(graph, group, i):
+        if not _level_transitive(group, geodesic, i, graphmod.count_geodesics(graph, i)):
             break
         geodesic_degree = i
         if array is not None and (array.b[i] if i < array.diameter else 0) <= 1:
@@ -462,9 +465,12 @@ def block_systems(group: PermGroup, domain=None) -> list[tuple[tuple[int, ...], 
         raise NotTransitive("block systems need a transitive action")
     if len(pts) <= 1:
         return []
+    # the finest system merging alpha and beta depends only on beta's
+    # G_alpha-orbit; suborbits are sorted by minimum, so {alpha} comes first
     alpha = pts[0]
+    suborbits = permmod.orbits(permmod.pointwise_stabilizer(group, [alpha]), pts)
     systems = set()
-    for beta in pts[1:]:
+    for beta, *_ in suborbits[1:]:
         blocks = minimal_block_system(group, pts, alpha, beta)
         if 1 < len(blocks[0]) < len(pts):
             systems.add(tuple(blocks))
@@ -556,7 +562,9 @@ def _socle_tag(x: PermGroup, domain_size: int) -> str:
     regular = socle.is_transitive() and socle.order() == domain_size
     if abelian and regular:
         return "abelian-regular"
-    if len(minimals) == 1 and not abelian and _is_simple(minimals[0]):
+    # a minimal normal subgroup of order |x| is x, whose structure is cached
+    m = x if minimals[0].order() == x.order() else minimals[0]
+    if len(minimals) == 1 and not abelian and _is_simple(m):
         return "simple"
     if not abelian and regular:
         return "nonabelian-regular"
@@ -692,14 +700,16 @@ def weiss_divisibility_check(graph: Graph, group: PermGroup, s: int) -> WeissRep
         raise ValencyNotPrimePowerPlusOne(f"valency {k} is not q+1 for a prime power q")
     q = k - 1
     p, f = pf
-    if not _arc_level_transitive(graph, group, s):
+    arc = graphmod.first_arc(graph, s)
+    if not _level_transitive(group, arc, s, graphmod.count_arcs(graph, s)):
         raise PreconditionUnverified(
             "s-arc transitivity",
             f"(G,{s})-arc transitivity does not hold (diameter {graphmod.diameter(graph)})",
         )
 
-    stab_u = permmod.pointwise_stabilizer(group, [0])
-    gu = stab_u.order()
+    # the arc's chain memoized G_u for its first vertex u
+    u, v = arc[0], arc[1]
+    gu = permmod.pointwise_stabilizer(group, [u]).order()
 
     array = graphmod.intersection_array(graph)
     b_levels: list[int | None] = []
@@ -718,8 +728,6 @@ def weiss_divisibility_check(graph: Graph, group: PermGroup, s: int) -> WeissRep
     divides = None if product is None else gu % product == 0
 
     # kernel of G_uv acting on the neighborhood of v, for the edge (u, v)
-    u = 0
-    v = graph.adjacency[0][0]
     kernel = permmod.pointwise_stabilizer(group, [u, v] + list(graph.adjacency[v]))
     korder = kernel.order()
     kernel_is_p = korder == 1 or _is_power_of(korder, p)

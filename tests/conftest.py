@@ -50,3 +50,19 @@ def foster_n(ctx):
 @pytest.fixture(scope="session")
 def foster_quotient(ctx):
     return ctx.foster_quotient()
+
+
+@pytest.fixture
+def chain_builds(monkeypatch):
+    """A list that gains one entry per Schreier-Sims chain build."""
+    from geodex import perm
+
+    builds = []
+    original = perm._build_chain
+
+    def counted(*args, **kwargs):
+        builds.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(perm, "_build_chain", counted)
+    return builds

@@ -212,6 +212,24 @@ class TestIntersectionData:
         with pytest.raises(NotRegular):
             G.intersection_array(path)
 
+    def test_array_computed_once_per_graph(self, monkeypatch):
+        from geodex import symmetry
+        from geodex.atlas import atlas_get
+
+        bases = []
+        original = G.intersection_data
+
+        def counted(graph, u):
+            bases.append(u)
+            return original(graph, u)
+
+        monkeypatch.setattr(G, "intersection_data", counted)
+        foster = atlas_get("foster").graph  # validation reads the array
+        aut = symmetry.automorphism_group(foster)
+        symmetry.transitivity_degrees(foster, aut)
+        symmetry.weiss_divisibility_check(foster, aut, 5)
+        assert sorted(bases) == list(range(foster.n))
+
     def test_undefined_level_carries_witness(self):
         # a regular graph that is not distance-regular: the 6-cycle plus one
         # long chord's endpoints behave differently... use the prism K3 x K2

@@ -223,7 +223,9 @@ class TestPointwiseStabilizer:
                         stack.append(img)
             assert len(orbit) * stab.order() == 120
 
-    def test_memoized_stabilizer_matches_fresh_build(self, foster, foster_aut):
+    def test_memoized_stabilizer_matches_fresh_build(self, foster, foster_aut, chain_builds):
+        from geodex.graph import first_geodesic
+
         group = build_group(foster_aut.generators)
         a = foster.adjacency[0][0]
         b = next(x for x in foster.adjacency[a] if x != 0)
@@ -236,6 +238,24 @@ class TestPointwiseStabilizer:
             assert first.order() == fresh.order()
             assert perm.same_group(first, fresh)
             assert all(g(p) == p for g in first.generators for p in points)
+
+        # one call on an 8-geodesic memoizes the stabilizer of every prefix
+        geodesic = list(first_geodesic(foster, 8))
+        fresh = [
+            perm.pointwise_stabilizer(build_group(foster_aut.generators), geodesic[:j])
+            for j in range(1, len(geodesic) + 1)
+        ]
+        group = build_group(foster_aut.generators)
+        chain_builds.clear()
+        perm.pointwise_stabilizer(group, geodesic)
+        assert len(chain_builds) == 1
+        for j, want in enumerate(fresh, 1):
+            got = perm.pointwise_stabilizer(group, geodesic[:j])
+            assert got.order() == want.order()
+            assert perm.same_group(got, want)
+            assert all(g(p) == p for g in got.generators for p in geodesic[:j])
+        assert len(chain_builds) == 1  # every prefix was a memo hit
+        assert fresh[-1].order() == 1
 
     def test_petersen_two_geodesic_stabilizer(self, petersen, petersen_aut):
         from geodex.graph import first_geodesic
@@ -261,6 +281,13 @@ class TestNormalStructure:
         c4 = build_group([cyc(4, (0, 1, 2, 3))])
         with pytest.raises(NotASubgroup):
             perm.normal_test_and_closure(c4, [cyc(4, (0, 1))])
+
+    def test_normal_closure_builds_one_chain(self, foster_aut, foster_n, chain_builds):
+        group = build_group(foster_aut.generators)
+        chain_builds.clear()
+        is_normal, closure = perm.normal_test_and_closure(group, foster_n)
+        assert is_normal and perm.same_group(closure, foster_n)
+        assert len(chain_builds) == 1
 
     def test_minimal_normals_s3(self):
         s3 = build_group([cyc(3, (0, 1, 2)), cyc(3, (0, 1))])

@@ -101,6 +101,32 @@ class TestGirthBoundCheck:
         assert report.quotient_arc_transitive_prev  # 5-arc transitive
         assert not report.quotient_arc_transitive_s  # but not 6
 
+    def test_one_validation_and_two_chains(self, foster, foster_aut, foster_n, chain_builds, monkeypatch):
+        validations = []
+        original = S.validate_automorphisms
+
+        def counted(graph, group):
+            validations.append(graph)
+            return original(graph, group)
+
+        result = Q.normal_quotient(foster, build_group(foster_aut.generators), foster_n)
+        monkeypatch.setattr(S, "validate_automorphisms", counted)
+        chain_builds.clear()
+        report = Q.girth_bound_check(foster, result, 6)
+        assert report.verdict == "holds"
+        # the cover's 6-geodesic chain and one quotient chain for 5- and 6-arcs
+        assert len(chain_builds) <= 2
+        assert validations == [foster, result.quotient]
+
+    def test_quotient_without_s_arcs(self):
+        # K2 by the trivial group: 1-arc transitive, and there are no 2-arcs
+        k2 = build_graph(2, [(0, 1)])
+        result = Q.normal_quotient(k2, S.automorphism_group(k2), build_group([], degree=2))
+        report = Q.girth_bound_check(k2, result, 2)
+        assert report.quotient_arc_transitive_prev
+        assert not report.quotient_arc_transitive_s
+        assert report.verdict == "premise-violation"
+
     def test_s7_excluded(self, foster, foster_quotient):
         report = Q.girth_bound_check(foster, foster_quotient, 7)
         assert report.verdict == "excluded-s7"

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodex import graph as graphmod
 from geodex import perm
@@ -19,7 +21,7 @@ from geodex.errors import (
     ValencyNotPrimePowerPlusOne,
 )
 from geodex.graph import build_graph, diameter, girth, lcf_decode
-from geodex.oracles import brute_force_automorphism_count
+from geodex.oracles import brute_force_automorphism_count, geodesics_by_filter, recursive_arcs
 from geodex.perm import Permutation, build_group
 
 
@@ -213,6 +215,94 @@ class TestTransitivityDegrees:
             assert S.is_s_geodesic_transitive(graph, aut, top)
 
 
+def _tuple_orbit_size(group, rep) -> int:
+    """Size of the orbit of ``rep`` by closing it under the generators."""
+    gens = [g.images for g in group.generators]
+    orbit = {rep}
+    stack = [rep]
+    while stack:
+        t = stack.pop()
+        for g in gens:
+            image = tuple(g[x] for x in t)
+            if image not in orbit:
+                orbit.add(image)
+                stack.append(image)
+    return len(orbit)
+
+
+def _oracle_transitive(group, tuples) -> bool:
+    return bool(tuples) and _tuple_orbit_size(group, tuples[0]) == len(tuples)
+
+
+def _leading(levels) -> int:
+    """Number of leading True entries."""
+    return next((i for i, ok in enumerate(levels) if not ok), len(levels))
+
+
+class TestLevelsAgainstOrbitOracle:
+    @pytest.mark.parametrize("name", ["C6", "K4", "K3,3", "Q3", "petersen", "heawood", "K2"])
+    def test_every_level(self, name, ctx):
+        graph = {
+            "C6": lambda: build_graph(6, [(i, (i + 1) % 6) for i in range(6)]),
+            "K4": lambda: build_graph(4, [(i, j) for i in range(4) for j in range(i)]),
+            "K3,3": lambda: build_graph(6, [(i, j) for i in range(3) for j in range(3, 6)]),
+            "Q3": lambda: build_graph(8, [(i, i ^ b) for i in range(8) for b in (1, 2, 4)]),
+            "petersen": lambda: ctx.graph("petersen"),
+            "heawood": lambda: ctx.graph("heawood"),
+            "K2": lambda: build_graph(2, [(0, 1)]),
+        }[name]()
+        aut = S.automorphism_group(graph)
+        # Aut and seeded vertex-transitive subgroups on two random elements
+        # (one per order), so that the levels fail at different depths
+        rng = random.Random(5)
+        elements = aut.raw_elements()
+        groups = {aut.order(): aut}
+        for _ in range(40):
+            sub = build_group([Permutation(rng.choice(elements)) for _ in range(2)], degree=graph.n)
+            if sub.is_transitive():
+                groups.setdefault(sub.order(), sub)
+        d = diameter(graph)
+        for group in groups.values():
+            arcs = [_oracle_transitive(group, recursive_arcs(graph, s)) for s in range(1, 6)]
+            geos = [_oracle_transitive(group, geodesics_by_filter(graph, i)) for i in range(1, d + 1)]
+            for s, want in enumerate(arcs, 1):
+                assert S.is_s_arc_transitive(graph, group, s) == want
+            for s in range(1, d + 1):
+                assert S.is_s_geodesic_transitive(graph, group, s) == all(geos[:s])
+            report = S.transitivity_degrees(graph, group)
+            if graph.valency <= 2:
+                assert report.arc_degree == min(d, _leading(arcs))
+            else:
+                assert not all(arcs)  # the oracle range covers the first failure
+                assert report.arc_degree == _leading(arcs)
+            assert report.geodesic_degree == _leading(geos)
+            assert report.geodesic_transitive == all(geos)
+
+
+class TestOneChainPerQuestion:
+    """Schreier-Sims builds per question, on a fresh Foster group."""
+
+    @pytest.fixture
+    def group(self, foster_aut, chain_builds):
+        group = build_group(foster_aut.generators)
+        chain_builds.clear()
+        return group
+
+    def test_transitivity_degrees(self, foster, group, chain_builds):
+        report = S.transitivity_degrees(foster, group)
+        assert (report.arc_degree, report.geodesic_degree) == (5, 8)
+        assert len(chain_builds) <= 2  # one arc chain, one geodesic chain
+
+    def test_geodesic_levels_share_one_chain(self, foster, group, chain_builds):
+        assert S.is_s_geodesic_transitive(foster, group, 8)
+        assert len(chain_builds) == 1
+
+    def test_weiss_reads_g_u_from_the_arc_chain(self, foster, group, chain_builds):
+        report = S.weiss_divisibility_check(foster, group, 5)
+        assert report.stabilizer_order == 48
+        assert len(chain_builds) == 2  # the 5-arc chain and the kernel chain
+
+
 class TestBlocksAndPrimitivity:
     def test_c4_blocks(self):
         c4 = build_group([cyc(4, (0, 1, 2, 3))])
@@ -234,6 +324,24 @@ class TestBlocksAndPrimitivity:
         with pytest.raises(NotTransitive):
             S.block_systems(g)
 
+    def test_suborbit_representatives_match_every_beta(self, ctx):
+        c4 = build_group([cyc(4, (0, 1, 2, 3))])
+        graph = ctx.graph("tutte-coxeter")
+        delta1, delta2 = graphmod.bipartition(graph)
+        _, g_plus = perm.induced_action(ctx.aut("tutte-coxeter"), [delta1, delta2])
+        for group, domain in ((ctx.aut("foster"), None), (g_plus, delta1), (c4, None)):
+            assert S.block_systems(group, domain) == _block_systems_every_beta(group, domain)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_suborbit_representatives_match_every_beta_random(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=9))
+        count = data.draw(st.integers(min_value=1, max_value=3))
+        gens = [Permutation(tuple(data.draw(st.permutations(range(n))))) for _ in range(count)]
+        group = build_group(gens, degree=n)
+        domain = sorted(group.orbit(0))  # G is transitive on each orbit
+        assert S.block_systems(group, domain) == _block_systems_every_beta(group, domain)
+
     def test_domain_must_be_a_whole_orbit(self):
         # [0, 1] lies inside the single orbit of S3 but is not invariant
         s3 = build_group([cyc(3, (0, 1, 2)), cyc(3, (0, 1))])
@@ -242,6 +350,17 @@ class TestBlocksAndPrimitivity:
         for decider in (S.block_systems, S.is_primitive, S.quasiprimitivity):
             with pytest.raises(NotTransitive):
                 decider(s3, [0, 1])
+
+
+def _block_systems_every_beta(group, domain=None):
+    """Reference: the minimal system merging alpha with every other beta."""
+    pts = sorted(domain) if domain is not None else list(range(group.degree))
+    systems = set()
+    for beta in pts[1:]:
+        blocks = S.minimal_block_system(group, pts, pts[0], beta)
+        if 1 < len(blocks[0]) < len(pts):
+            systems.add(tuple(blocks))
+    return sorted(systems, key=lambda s: (len(s[0]), s))
 
 
 class TestQuasiprimitivity:
@@ -312,6 +431,23 @@ class TestBiAnalysis:
         assert action.quasiprimitive
         assert action.bipartite_setting is None
         assert action.socle_tag == "simple"
+
+    def test_simple_group_listed_once(self, ctx, monkeypatch):
+        # Aut(Biggs-Smith) is PSL(2,17); its one minimal normal subgroup is
+        # the whole group, so its 2448 elements are listed once, not twice
+        listed = []
+        original = perm.PermGroup.raw_elements
+
+        def counted(self):
+            if "elements" not in self._cache:
+                listed.append(self.order())
+            return original(self)
+
+        monkeypatch.setattr(perm.PermGroup, "raw_elements", counted)
+        group = build_group(ctx.aut("biggs-smith").generators)
+        action = S.bi_analysis(ctx.graph("biggs-smith"), group)
+        assert action.socle_tag == "simple"
+        assert sum(listed) == 2448
 
     def test_biprimitive_implies_biquasiprimitive(self, ctx, c6, k33):
         for name_graph in (("heawood", None), (None, c6), (None, k33)):
