@@ -532,11 +532,11 @@ def normal_test_and_closure(group: PermGroup, subgroup) -> tuple[bool, PermGroup
             raise NotASubgroup(f"element {Permutation(g).cycle_string()} is not in G")
 
     g_gens = [(g.images, _inverse(g.images)) for g in group.generators]
-    # one chain: H's chain tests normality, then grows into the closure's
+    # one chain: H's chain tests normality and, unless H is normal (then it is
+    # already the closure's), grows into the closure's
     chain = _build_chain(group.degree, h_gens)
-    is_normal = all(
-        chain.contains(_conjugate(h, g, gi)) for h in h_gens for g, gi in g_gens
-    )
+    if all(chain.contains(_conjugate(h, g, gi)) for h in h_gens for g, gi in g_gens):
+        return True, _group_from_chain(group.degree, h_gens, chain)
 
     closure_gens = list(h_gens)
     queue = list(h_gens)
@@ -548,7 +548,7 @@ def normal_test_and_closure(group: PermGroup, subgroup) -> tuple[bool, PermGroup
                 closure_gens.append(c)
                 chain.add_generator(c)
                 queue.append(c)
-    return is_normal, _group_from_chain(group.degree, closure_gens, chain)
+    return False, _group_from_chain(group.degree, closure_gens, chain)
 
 
 def conjugacy_class_representatives(group: PermGroup) -> list[Permutation]:

@@ -176,6 +176,8 @@ def girth_bound_check(graph: Graph, result: QuotientResult, s: int) -> GirthBoun
     The window is reported even when the hypothesis stack fails; the verdict
     then says premise-violation.  s = 7 is flagged as excluded.
     """
+    if graph != result.graph:
+        raise PreconditionUnverified("graph", "graph is not the graph of the quotient result")
     if not result.is_cover:
         raise PreconditionUnverified("cover", "quotient is not a cover")
     if s < 2:
@@ -285,6 +287,8 @@ def lift_cycle_profile(graph: Graph, result: QuotientResult, cycle) -> LiftProfi
     the one forced by the cover girth (girth = 2s-2 or 2s-1); when no
     admissible s exists the verdict is premise-violation.
     """
+    if graph != result.graph:
+        raise PreconditionUnverified("graph", "graph is not the graph of the quotient result")
     if not result.is_cover:
         raise PreconditionUnverified("cover", "quotient is not a cover")
     blocks = _normalize_cycle(result, cycle)
@@ -403,12 +407,13 @@ def verify_reduction(graph: Graph, group: PermGroup, normal_subgroup: PermGroup,
         )
     if normal_subgroup.order() == 1:
         raise PreconditionUnverified("N nontrivial", "N is the trivial group")
-    is_normal, _ = permmod.normal_test_and_closure(group, normal_subgroup)
-    if not is_normal:
-        raise PreconditionUnverified("N normal in G", "conjugation check failed")
-    n_orbits = permmod.orbits(normal_subgroup)
-    if len(n_orbits) == 1:
-        raise PreconditionUnverified("N intransitive", "N is transitive")
+    try:
+        result = normal_quotient(graph, group, normal_subgroup)
+    except NormalityFails:
+        raise PreconditionUnverified("N normal in G", "conjugation check failed") from None
+    except NTransitive:
+        raise PreconditionUnverified("N intransitive", "N is transitive") from None
+    n_orbits = result.orbit_partition
     if len(n_orbits) == 2:
         return ReductionVerdict(
             case="precondition-failed",
@@ -432,7 +437,6 @@ def verify_reduction(graph: Graph, group: PermGroup, normal_subgroup: PermGroup,
         "orbit_sizes": sorted({len(c) for c in n_orbits}),
         "semiregular": permmod.is_semiregular(normal_subgroup, range(graph.n)),
     }
-    result = normal_quotient(graph, group, normal_subgroup)
     evidence["is_cover"] = result.is_cover
     evidence["girth_pair"] = list(result.girth_pair)
     evidence["kernel_order"] = result.kernel_order

@@ -65,22 +65,23 @@ def _initial_colors(graph: Graph):
 
 def _search_map(g1, g2, colors1, colors2, seeds):
     """One color/distance-consistent isomorphism g1 -> g2 extending ``seeds``
-    (pairs (source, target)), or None.  Both graphs must be connected.
+    (pairs (source, target)), or None.  Both graphs must be connected and have
+    the same number of vertices.
 
     Backtracking always extends a most-constrained vertex (most mapped
-    neighbors, lowest index on ties): refutations close cycles as early as
-    possible, which keeps the search shallow even on highly regular graphs.
+    neighbors, lowest index on ties) from the image of its first mapped
+    neighbor: refutations close cycles as early as possible, which keeps the
+    search shallow even on highly regular graphs.  That choice depends only on
+    which sources are mapped, never on their targets, so the extension order
+    is the same on every branch and is computed once.
     """
     n = g1.n
-    if g2.n != n:
-        return None
     adj1, adj2 = g1.adjacency, g2.adjacency
     dist1, dist2 = graphmod.distance_matrix(g1), graphmod.distance_matrix(g2)
 
     mapping = [-1] * n
-    used = [False] * g2.n
+    used = [False] * n
     mapped: list[int] = []
-    nbr_mapped = [0] * n  # per source vertex: how many neighbors are mapped
 
     def assign(u, t) -> bool:
         if mapping[u] != -1:
@@ -95,41 +96,44 @@ def _search_map(g1, g2, colors1, colors2, seeds):
         mapping[u] = t
         used[t] = True
         mapped.append(u)
-        for w in adj1[u]:
-            nbr_mapped[w] += 1
         return True
-
-    def unassign_to(size) -> None:
-        while len(mapped) > size:
-            u = mapped.pop()
-            used[mapping[u]] = False
-            mapping[u] = -1
-            for w in adj1[u]:
-                nbr_mapped[w] -= 1
 
     for u, t in seeds:
         if not assign(u, t):
             return None
 
-    def extend() -> bool:
-        if len(mapped) == n:
-            return True
-        u = -1
-        best = 0
+    # (vertex, anchor) per depth: a most-constrained vertex and its first
+    # mapped neighbor
+    placed = [t != -1 for t in mapping]
+    nbr_count = [0] * n
+    for q in mapped:
+        for w in adj1[q]:
+            nbr_count[w] += 1
+    order = []
+    for _ in range(n - len(mapped)):
+        u, best = -1, 0
         for v in range(n):
-            if mapping[v] == -1 and nbr_mapped[v] > best:
-                best = nbr_mapped[v]
-                u = v
-        anchor = next(q for q in adj1[u] if mapping[q] != -1)
-        checkpoint = len(mapped)
+            if not placed[v] and nbr_count[v] > best:
+                u, best = v, nbr_count[v]
+        order.append((u, next(q for q in adj1[u] if placed[q])))
+        placed[u] = True
+        for w in adj1[u]:
+            nbr_count[w] += 1
+
+    def extend(depth) -> bool:
+        if depth == len(order):
+            return True
+        u, anchor = order[depth]
         for t in adj2[mapping[anchor]]:
             if assign(u, t):
-                if extend():
+                if extend(depth + 1):
                     return True
-                unassign_to(checkpoint)
+                mapped.pop()
+                used[t] = False
+                mapping[u] = -1
         return False
 
-    if not extend():
+    if not extend(0):
         return None
     result = tuple(mapping)
     adjsets2 = g2.neighbor_sets()
@@ -214,10 +218,14 @@ def are_isomorphic(g1: Graph, g2: Graph):
             return None
         return _match_components(g1, g2)
 
-    joint = _joint_colors(g1, g2)
-    if joint is None:
+    # color ids are assigned in sorted-signature order at every stage, which
+    # is label-independent, so isomorphic graphs get corresponding ids; on
+    # non-isomorphic inputs ids may coincide spuriously, and the search then
+    # simply fails on the real constraints
+    colors1 = _initial_colors(g1)
+    colors2 = _initial_colors(g2)
+    if sorted(colors1) != sorted(colors2):
         return None
-    colors1, colors2 = joint
     cell_of: dict[int, list[int]] = {}
     for t, c in enumerate(colors2):
         cell_of.setdefault(c, []).append(t)
@@ -228,21 +236,6 @@ def are_isomorphic(g1: Graph, g2: Graph):
         if found is not None:
             return found
     return None
-
-
-def _joint_colors(g1: Graph, g2: Graph):
-    """Comparable color vectors for both graphs.
-
-    Color ids are assigned in sorted-signature order at every stage, which is
-    label-independent, so isomorphic graphs get corresponding ids.  On
-    non-isomorphic inputs ids may coincide spuriously; the search then simply
-    fails on the real constraints.
-    """
-    colors1 = _initial_colors(g1)
-    colors2 = _initial_colors(g2)
-    if sorted(colors1) != sorted(colors2):
-        return None
-    return colors1, colors2
 
 
 def _components(graph: Graph) -> list[list[int]]:

@@ -127,6 +127,11 @@ class TestGirthBoundCheck:
         assert not report.quotient_arc_transitive_s
         assert report.verdict == "premise-violation"
 
+    def test_graph_must_be_the_cover(self, petersen, foster_quotient):
+        with pytest.raises(PreconditionUnverified) as err:
+            Q.girth_bound_check(petersen, foster_quotient, 6)
+        assert err.value.premise == "graph"
+
     def test_s7_excluded(self, foster, foster_quotient):
         report = Q.girth_bound_check(foster, foster_quotient, 7)
         assert report.verdict == "excluded-s7"
@@ -184,6 +189,13 @@ class TestLiftCycleProfile:
         assert profile.verdict == "premise-violation"
         assert profile.s == 4
 
+    def test_graph_must_be_the_cover(self, petersen, foster_quotient):
+        quotient = foster_quotient.quotient
+        cycle = shortest_cycle_through_edge(quotient, 0, quotient.adjacency[0][0])
+        with pytest.raises(PreconditionUnverified) as err:
+            Q.lift_cycle_profile(petersen, foster_quotient, cycle)
+        assert err.value.premise == "graph"
+
     def test_heisenberg_cycle_too_long(self):
         example = heisenberg_example(3)
         result = Q.normal_quotient(example.graph, example.regular_group, example.center)
@@ -231,6 +243,35 @@ class TestVerifyReduction:
         with pytest.raises(PreconditionUnverified) as err:
             Q.verify_reduction(foster, foster_aut, trivial, 6)
         assert "nontrivial" in str(err.value)
+
+    def test_one_normality_test(self, foster, foster_aut, foster_n, chain_builds, monkeypatch):
+        tests = []
+        original = perm.normal_test_and_closure
+
+        def counted(group, subgroup):
+            tests.append(subgroup)
+            return original(group, subgroup)
+
+        group = build_group(foster_aut.generators)
+        foster_n.order()  # N's own chain is not part of the question
+        monkeypatch.setattr(perm, "normal_test_and_closure", counted)
+        chain_builds.clear()
+        verdict = Q.verify_reduction(foster, group, foster_n, 6)
+        assert verdict.case == "foster-exception"
+        assert tests == [foster_n]
+        # the 6-geodesic chain, the normality chain and three in induced_action
+        assert len(chain_builds) == 5
+
+    def test_non_normal_n_rejected(self, foster, foster_aut):
+        stabilizer = perm.pointwise_stabilizer(foster_aut, [0])
+        with pytest.raises(PreconditionUnverified) as err:
+            Q.verify_reduction(foster, foster_aut, stabilizer, 6)
+        assert err.value.premise == "N normal in G"
+
+    def test_transitive_n_rejected(self, foster, foster_aut):
+        with pytest.raises(PreconditionUnverified) as err:
+            Q.verify_reduction(foster, foster_aut, foster_aut, 6)
+        assert err.value.premise == "N intransitive"
 
     def test_two_orbit_refusal(self, foster, foster_aut):
         # a normal subgroup with exactly two orbits: the index-2 preimage of

@@ -1,0 +1,183 @@
+"""The automorphism/isomorphism backtrack against a reference copy of its
+earlier form, and against networkx."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from geodex import graph as graphmod
+from geodex import symmetry as S
+from geodex.graph import build_graph
+
+
+def _reference_search_map(g1, g2, colors1, colors2, seeds):
+    """The search as it was before its extension order was computed once:
+    a per-node argmax over every vertex, kept as the reference."""
+    n = g1.n
+    if g2.n != n:
+        return None
+    adj1, adj2 = g1.adjacency, g2.adjacency
+    dist1, dist2 = graphmod.distance_matrix(g1), graphmod.distance_matrix(g2)
+
+    mapping = [-1] * n
+    used = [False] * g2.n
+    mapped: list[int] = []
+    nbr_mapped = [0] * n  # per source vertex: how many neighbors are mapped
+
+    def assign(u, t) -> bool:
+        if mapping[u] != -1:
+            return mapping[u] == t
+        if used[t] or colors1[u] != colors2[t]:
+            return False
+        d1u = dist1[u]
+        d2t = dist2[t]
+        for q in mapped:
+            if d1u[q] != d2t[mapping[q]]:
+                return False
+        mapping[u] = t
+        used[t] = True
+        mapped.append(u)
+        for w in adj1[u]:
+            nbr_mapped[w] += 1
+        return True
+
+    def unassign_to(size) -> None:
+        while len(mapped) > size:
+            u = mapped.pop()
+            used[mapping[u]] = False
+            mapping[u] = -1
+            for w in adj1[u]:
+                nbr_mapped[w] -= 1
+
+    for u, t in seeds:
+        if not assign(u, t):
+            return None
+
+    def extend() -> bool:
+        if len(mapped) == n:
+            return True
+        u = -1
+        best = 0
+        for v in range(n):
+            if mapping[v] == -1 and nbr_mapped[v] > best:
+                best = nbr_mapped[v]
+                u = v
+        anchor = next(q for q in adj1[u] if mapping[q] != -1)
+        checkpoint = len(mapped)
+        for t in adj2[mapping[anchor]]:
+            if assign(u, t):
+                if extend():
+                    return True
+                unassign_to(checkpoint)
+        return False
+
+    if not extend():
+        return None
+    result = tuple(mapping)
+    adjsets2 = g2.neighbor_sets()
+    for u in range(n):
+        for w in adj1[u]:
+            if result[w] not in adjsets2[result[u]]:
+                raise AssertionError("search produced a non-isomorphism")
+    return result
+
+
+@st.composite
+def connected_graphs(draw, max_n=10):
+    """A random spanning tree plus random extra edges."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if pairs:
+        edges |= draw(st.sets(st.sampled_from(pairs)))
+    return build_graph(n, edges)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(connected_graphs(), st.data())
+def test_search_matches_reference(graph, data):
+    n = graph.n
+    images = data.draw(st.permutations(range(n)))
+    copy = build_graph(n, [(images[u], images[v]) for u, v in graph.edges()])
+    if data.draw(st.booleans()):
+        # one color-matched pair between the graph and its copy, as are_isomorphic seeds
+        g2 = copy
+        colors1, colors2 = S._initial_colors(graph), S._initial_colors(copy)
+        u = data.draw(st.integers(0, n - 1))
+        cell = [t for t in range(n) if colors2[t] == colors1[u]]
+        seeds = [(u, data.draw(st.sampled_from(cell)))]
+    else:
+        # fixed points plus one pair inside the refined cell of v, as automorphism_group seeds
+        g2 = graph
+        fixed = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n - 1))
+        work = list(S._initial_colors(graph))
+        for shift, f in enumerate(fixed, n):
+            work[f] = shift
+        colors1 = colors2 = S._refine(graph.adjacency, work)
+        v = data.draw(st.sampled_from([u for u in range(n) if u not in fixed]))
+        cell = [w for w in range(n) if colors1[w] == colors1[v]]
+        seeds = [(f, f) for f in fixed] + [(v, data.draw(st.sampled_from(cell)))]
+    want = _reference_search_map(graph, g2, colors1, colors2, seeds)
+    assert S._search_map(graph, g2, colors1, colors2, seeds) == want
+
+
+# ---------------------------------------------------------------------------
+# differential tests against networkx
+# ---------------------------------------------------------------------------
+
+def _from_nx(hx):
+    return build_graph(hx.number_of_nodes(), list(hx.edges()))
+
+
+@pytest.mark.parametrize("degree,n", [(3, 10), (3, 14), (4, 11), (3, 20), (5, 12)])
+def test_isomorphism_agrees_with_networkx(degree, n):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(degree * 100 + n)
+    for seed in range(4):
+        hx = nx.random_regular_graph(degree, n, seed=1000 * n + seed)
+        g = _from_nx(hx)
+        # yes: a relabeling
+        images = list(range(n))
+        rng.shuffle(images)
+        relabeled = nx.relabel_nodes(hx, dict(enumerate(images)))
+        copy = _from_nx(relabeled)
+        found = S.are_isomorphic(g, copy)
+        assert nx.is_isomorphic(hx, relabeled)
+        assert found is not None and sorted(found) == list(range(n))
+        assert all(copy.has_edge(found[u], found[v]) for u, v in g.edges())
+        # no: one edge swap, which keeps the degree sequence
+        swapped = hx.copy()
+        nx.double_edge_swap(swapped, nswap=1, max_tries=1000, seed=seed)
+        assert sorted(d for _, d in swapped.degree()) == sorted(d for _, d in hx.degree())
+        assert not nx.is_isomorphic(hx, swapped)
+        assert S.are_isomorphic(g, _from_nx(swapped)) is None
+
+
+def _vertex_transitive_graphs(nx):
+    integer = nx.convert_node_labels_to_integers
+    return {
+        "petersen": nx.petersen_graph(),
+        "C12": nx.cycle_graph(12),
+        "K6": nx.complete_graph(6),
+        "K4,4": nx.complete_bipartite_graph(4, 4),
+        "Q3": integer(nx.hypercube_graph(3)),
+        "prism6": nx.circular_ladder_graph(6),
+        "octahedron": nx.octahedral_graph(),
+        "icosahedron": nx.icosahedral_graph(),
+        "truncated tetrahedron": nx.truncated_tetrahedron_graph(),
+        "circulant(12; 1, 5)": nx.circulant_graph(12, [1, 5]),
+        "circulant(11; 1, 3)": nx.circulant_graph(11, [1, 3]),
+    }
+
+
+def test_automorphism_count_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    for name, hx in _vertex_transitive_graphs(nx).items():
+        want = sum(1 for _ in GraphMatcher(hx, hx).isomorphisms_iter())
+        assert S.automorphism_group(_from_nx(hx)).order() == want, name
