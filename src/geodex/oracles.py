@@ -1,9 +1,10 @@
 """Independent brute-force references for the verification suite.
 
-Everything here is deliberately naive: full permutation enumeration, DFS
-cycle scans, Floyd-Warshall distances, and plain multiplication closure.
-These implementations share no code paths with the production engines they
-check.
+Everything here is deliberately naive: a vertex-by-vertex permutation
+backtrack that checks only adjacency among mapped vertices, DFS cycle scans,
+Floyd-Warshall distances, and plain multiplication closure (optionally
+abandoned once it exceeds a size cap).  These implementations share no code
+paths with the production engines they check.
 """
 
 from __future__ import annotations
@@ -14,20 +15,39 @@ from .graph import Graph
 
 
 def brute_force_automorphism_count(graph: Graph) -> int:
-    """Count automorphisms by testing every permutation of the vertices."""
+    """Count automorphisms by a plain permutation backtrack.
+
+    Vertex 0, then 1, and so on is mapped to each unused target in
+    ``range(n)`` order; a partial map is dropped as soon as an edge or a
+    non-edge among its mapped vertices is broken.  No colours, distances,
+    degrees or search order are used, so every automorphism is one leaf and
+    the count equals that of testing all n! permutations.
+    """
     n = graph.n
     adjsets = graph.neighbor_sets()
-    edges = graph.edges()
-    count = 0
-    for perm in itertools.permutations(range(n)):
-        ok = True
-        for u, v in edges:
-            if perm[v] not in adjsets[perm[u]]:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    image = [0] * n
+    used = [False] * n
+
+    def extend(u: int) -> int:
+        if u == n:
+            return 1
+        nbrs = adjsets[u]
+        count = 0
+        for t in range(n):
+            if used[t]:
+                continue
+            tnbrs = adjsets[t]
+            for q in range(u):
+                if (q in nbrs) != (image[q] in tnbrs):
+                    break
+            else:
+                image[u] = t
+                used[t] = True
+                count += extend(u + 1)
+                used[t] = False
+        return count
+
+    return extend(0)
 
 
 def naive_girth(graph: Graph) -> int | None:
@@ -106,22 +126,26 @@ def geodesics_by_filter(graph: Graph, s: int) -> list[tuple[int, ...]]:
     return [arc for arc in recursive_arcs(graph, s) if dist[arc[0]][arc[-1]] == s]
 
 
-def multiplication_closure_order(generators) -> int:
-    """Group order by closing the generator set under multiplication."""
+def multiplication_closure_order(generators, cap: int | None = None) -> int | None:
+    """Group order by closing the generator set under multiplication.
+
+    With ``cap``, gives up and returns None as soon as a frontier round leaves
+    more than ``cap`` elements, so the order is known to exceed ``cap``.
+    """
     gens = [tuple(g.images) for g in generators]
-    if not gens:
-        return 1
-    n = len(gens[0])
+    n = len(gens[0]) if gens else 0
     elements = {tuple(range(n))}
     frontier = list(elements)
     while frontier:
         fresh = []
         for e in frontier:
             for g in gens:
-                prod = tuple(g[i] for i in e)
+                prod = tuple(map(g.__getitem__, e))
                 if prod not in elements:
                     elements.add(prod)
                     fresh.append(prod)
+        if cap is not None and len(elements) > cap:
+            return None
         frontier = fresh
     return len(elements)
 

@@ -257,7 +257,12 @@ class _Chain:
 
     def _append(self, g, k: int) -> None:
         if k == len(self.levels):
+            # a residue that sifted through every level fixes every base
+            # point; one that does not means corrupted transversals, and
+            # installing it could grow the chain forever
             point = min(p for p in range(self.degree) if g[p] != p)
+            if any(lvl.point == point for lvl in self.levels):
+                raise AssertionError("residue moves a base point")
             self.levels.append(_Level(point, self.identity))
         self.levels[k].gens.append(g)
 
@@ -266,7 +271,10 @@ class _Chain:
 
         Installing a residue at level k dirties levels <= k, so the walk jumps
         down to k and then climbs back up; fully processed levels are cheap to
-        revisit thanks to the per-level processed-pair memo.
+        revisit thanks to the per-level processed-pair memo.  Every install
+        either grows a basic orbit or adds a level with a new point (``_append``
+        refuses anything else), so the walk ends after at most
+        degree * (degree + 1) installs.
         """
         i = len(self.levels) - 1
         while i >= 0:

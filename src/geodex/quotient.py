@@ -80,6 +80,11 @@ def normal_quotient(graph: Graph, group: PermGroup, normal_subgroup: PermGroup) 
     Requires N normal in G <= Aut(graph) and N intransitive.
     """
     symmod.validate_automorphisms(graph, group)
+    return _build_quotient(graph, group, normal_subgroup)
+
+
+def _build_quotient(graph: Graph, group: PermGroup, normal_subgroup: PermGroup) -> QuotientResult:
+    """``normal_quotient`` for a group already validated on ``graph``."""
     is_normal, _ = permmod.normal_test_and_closure(group, normal_subgroup)
     if not is_normal:
         raise NormalityFails("N is not normal in G")
@@ -408,7 +413,8 @@ def verify_reduction(graph: Graph, group: PermGroup, normal_subgroup: PermGroup,
     if normal_subgroup.order() == 1:
         raise PreconditionUnverified("N nontrivial", "N is the trivial group")
     try:
-        result = normal_quotient(graph, group, normal_subgroup)
+        # is_s_geodesic_transitive above has validated G on the graph
+        result = _build_quotient(graph, group, normal_subgroup)
     except NormalityFails:
         raise PreconditionUnverified("N normal in G", "conjugation check failed") from None
     except NTransitive:

@@ -63,6 +63,30 @@ def _initial_colors(graph: Graph):
 # the backtracking search
 # ---------------------------------------------------------------------------
 
+def _extension_order(adjacency, sources):
+    """(vertex, anchor) per search depth once ``sources`` are mapped: a
+    most-constrained vertex (most mapped neighbors, lowest index on ties) and
+    its first mapped neighbor."""
+    n = len(adjacency)
+    placed = [False] * n
+    nbr_count = [0] * n
+    for q in sources:
+        placed[q] = True
+        for w in adjacency[q]:
+            nbr_count[w] += 1
+    order = []
+    for _ in range(n - len(sources)):
+        u, best = -1, 0
+        for v in range(n):
+            if not placed[v] and nbr_count[v] > best:
+                u, best = v, nbr_count[v]
+        order.append((u, next(q for q in adjacency[u] if placed[q])))
+        placed[u] = True
+        for w in adjacency[u]:
+            nbr_count[w] += 1
+    return tuple(order)
+
+
 def _search_map(g1, g2, colors1, colors2, seeds):
     """One color/distance-consistent isomorphism g1 -> g2 extending ``seeds``
     (pairs (source, target)), or None.  Both graphs must be connected and have
@@ -73,7 +97,9 @@ def _search_map(g1, g2, colors1, colors2, seeds):
     neighbor: refutations close cycles as early as possible, which keeps the
     search shallow even on highly regular graphs.  That choice depends only on
     which sources are mapped, never on their targets, so the extension order
-    is the same on every branch and is computed once.
+    is the same on every branch; it is memoized in ``g1._cache`` per set of
+    seed sources, so every candidate of an automorphism level and every root
+    target of an isomorphism test shares one order.
     """
     n = g1.n
     adj1, adj2 = g1.adjacency, g2.adjacency
@@ -102,23 +128,10 @@ def _search_map(g1, g2, colors1, colors2, seeds):
         if not assign(u, t):
             return None
 
-    # (vertex, anchor) per depth: a most-constrained vertex and its first
-    # mapped neighbor
-    placed = [t != -1 for t in mapping]
-    nbr_count = [0] * n
-    for q in mapped:
-        for w in adj1[q]:
-            nbr_count[w] += 1
-    order = []
-    for _ in range(n - len(mapped)):
-        u, best = -1, 0
-        for v in range(n):
-            if not placed[v] and nbr_count[v] > best:
-                u, best = v, nbr_count[v]
-        order.append((u, next(q for q in adj1[u] if placed[q])))
-        placed[u] = True
-        for w in adj1[u]:
-            nbr_count[w] += 1
+    key = ("extension_order", tuple(sorted(mapped)))
+    order = g1._cache.get(key)
+    if order is None:
+        order = g1._cache[key] = _extension_order(adj1, mapped)
 
     def extend(depth) -> bool:
         if depth == len(order):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
 from geodex import graph as G
@@ -333,3 +336,48 @@ class TestLCF:
         offsets, repeat = G.lcf_parse("[17,-9,37,-37,9,-17]^15")
         assert offsets == [17, -9, 37, -37, 9, -17]
         assert repeat == 15
+
+
+class TestAgainstNetworkx:
+    """girth and diameter against networkx on seeded random inputs, forests
+    and disconnected graphs included."""
+
+    @staticmethod
+    def _inputs(nx):
+        for seed in range(16):
+            rng = random.Random(seed)
+            n = rng.randrange(2, 30)
+            yield nx.gnp_random_graph(n, rng.choice((0.03, 0.08, 0.15, 0.3)), seed=seed)
+            d = rng.choice((2, 3, 4))
+            n = rng.randrange(d + 1, 31)
+            yield nx.random_regular_graph(d, n + (n * d) % 2, seed=seed)
+        yield nx.path_graph(9)
+        yield nx.star_graph(6)
+        yield nx.balanced_tree(2, 3)
+
+    def test_girth(self):
+        nx = pytest.importorskip("networkx")
+        forests = 0
+        for hx in self._inputs(nx):
+            g = G.build_graph(hx.number_of_nodes(), list(hx.edges()))
+            want = nx.girth(hx)
+            if want == math.inf:
+                forests += 1
+                with pytest.raises(Acyclic):
+                    G.girth(g)
+            else:
+                assert G.girth(g) == want, list(hx.edges())
+        assert forests >= 5
+
+    def test_diameter(self):
+        nx = pytest.importorskip("networkx")
+        disconnected = 0
+        for hx in self._inputs(nx):
+            g = G.build_graph(hx.number_of_nodes(), list(hx.edges()))
+            if nx.is_connected(hx):
+                assert G.diameter(g) == nx.diameter(hx), list(hx.edges())
+            else:
+                disconnected += 1
+                with pytest.raises(Disconnected):
+                    G.diameter(g)
+        assert disconnected >= 5

@@ -1,0 +1,103 @@
+"""The oracles of claim 10 against their plain forms: the permutation-backtrack
+automorphism count against testing every permutation, and the capped closure
+against the uncapped one."""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from geodex import oracles, verify
+from geodex.graph import build_graph
+from geodex.perm import Permutation
+
+
+def _count_by_all_permutations(graph):
+    """Automorphisms by testing every permutation of the vertices."""
+    adjsets = graph.neighbor_sets()
+    edges = graph.edges()
+    count = 0
+    for perm in itertools.permutations(range(graph.n)):
+        for u, v in edges:
+            if perm[v] not in adjsets[perm[u]]:
+                break
+        else:
+            count += 1
+    return count
+
+
+def test_backtrack_count_on_every_labeled_graph_up_to_5():
+    graphs = list(oracles.all_labeled_connected_graphs(5))
+    assert len(graphs) == 1 + 1 + 4 + 38 + 728
+    for graph in graphs:
+        want = _count_by_all_permutations(graph)
+        assert oracles.brute_force_automorphism_count(graph) == want, graph.edges()
+
+
+def test_backtrack_count_on_relabeled_atlas_graphs_up_to_6():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(6)
+    checked = 0
+    for hx in nx.graph_atlas_g()[1:]:
+        n = hx.number_of_nodes()
+        if n > 6:
+            break
+        if not nx.is_connected(hx):
+            continue
+        for _ in range(3):
+            images = list(range(n))
+            rng.shuffle(images)
+            graph = build_graph(n, [(images[u], images[v]) for u, v in hx.edges()])
+            want = _count_by_all_permutations(graph)
+            assert oracles.brute_force_automorphism_count(graph) == want, graph.edges()
+        checked += 1
+    assert checked == 1 + 1 + 2 + 6 + 21 + 112
+
+
+def test_backtrack_count_of_the_empty_and_one_vertex_graphs():
+    assert oracles.brute_force_automorphism_count(build_graph(0, [])) == 1
+    assert oracles.brute_force_automorphism_count(build_graph(1, [])) == 1
+
+
+def test_capped_closure_on_claim_10_cases(monkeypatch):
+    calls = []
+    original = oracles.multiplication_closure_order
+
+    def recorded(gens, cap=None):
+        result = original(gens, cap)
+        calls.append((gens, cap, result))
+        return result
+
+    monkeypatch.setattr(oracles, "multiplication_closure_order", recorded)
+    assert verify._group_order_oracle_failures() == []
+    assert len(calls) == 46
+    skipped = []
+    for gens, cap, result in calls:
+        full = original(gens)
+        assert cap == 10**4
+        assert result == (None if full > cap else full)
+        if result is None:
+            skipped.append(full)
+    # S8, S8 and A8, as before the cap
+    assert sorted(skipped) == [20160, 40320, 40320]
+
+
+@st.composite
+def _generator_sets(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    count = draw(st.integers(min_value=0, max_value=3))
+    gens = [Permutation(tuple(draw(st.permutations(range(n))))) for _ in range(count)]
+    return gens
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_generator_sets(), st.integers(min_value=0, max_value=6000))
+def test_capped_closure_is_none_exactly_above_the_cap(gens, cap):
+    full = oracles.multiplication_closure_order(gens)
+    assert oracles.multiplication_closure_order(gens, cap) == (None if full > cap else full)
+    assert oracles.multiplication_closure_order(gens, full) == full
+    assert oracles.multiplication_closure_order(gens, full - 1) is None

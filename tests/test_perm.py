@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import geodex
 from geodex import perm
 from geodex.errors import (
     GroupTooLarge,
@@ -153,6 +159,28 @@ class TestBuildGroup:
         assert perm.group_from_json(
             {"degree": 3, "generators": ["(0 1 2)", "(0 1)"]}
         ).order() == 6
+
+    def test_corrupted_chain_raises_instead_of_looping(self):
+        # with every transversal inverse replaced by the transversal itself,
+        # sifting leaves residues that move base points; installing them as
+        # new levels grew the chain without end
+        code = textwrap.dedent(
+            """
+            from geodex import atlas, perm, symmetry
+
+            foster = atlas.atlas_get("foster").graph
+            gens = symmetry.automorphism_group(foster).generators
+            perm._inverse = lambda g: g
+            perm.build_group(gens, degree=foster.n)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(geodex.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
+        )
+        assert proc.returncode != 0
+        assert "AssertionError: residue moves a base point" in proc.stderr
 
 
 class TestOrbits:

@@ -9,6 +9,7 @@ from geodex.atlas import atlas_get, heisenberg_example
 from geodex.errors import (
     CycleTooLong,
     NormalityFails,
+    NotAutomorphisms,
     NotACycle,
     NTransitive,
     PreconditionUnverified,
@@ -261,6 +262,25 @@ class TestVerifyReduction:
         assert tests == [foster_n]
         # the 6-geodesic chain, the normality chain and three in induced_action
         assert len(chain_builds) == 5
+
+    def test_one_validation(self, foster, foster_aut, foster_n, monkeypatch):
+        validations = []
+        original = S.validate_automorphisms
+
+        def counted(graph, group):
+            validations.append(graph)
+            return original(graph, group)
+
+        monkeypatch.setattr(S, "validate_automorphisms", counted)
+        verdict = Q.verify_reduction(foster, foster_aut, foster_n, 6)
+        assert verdict.case == "foster-exception"
+        assert validations == [foster]
+
+    def test_foreign_group_still_rejected(self, foster, foster_n):
+        # the one validation is the s-geodesic premise's, before the quotient
+        swap = build_group([Permutation.from_cycles([(0, 1)], 90)])
+        with pytest.raises(NotAutomorphisms):
+            Q.verify_reduction(foster, swap, foster_n, 6)
 
     def test_non_normal_n_rejected(self, foster, foster_aut):
         stabilizer = perm.pointwise_stabilizer(foster_aut, [0])

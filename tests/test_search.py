@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from geodex import graph as graphmod
 from geodex import symmetry as S
+from geodex.atlas import atlas_get
 from geodex.graph import build_graph
 
 
@@ -123,6 +124,52 @@ def test_search_matches_reference(graph, data):
         seeds = [(f, f) for f in fixed] + [(v, data.draw(st.sampled_from(cell)))]
     want = _reference_search_map(graph, g2, colors1, colors2, seeds)
     assert S._search_map(graph, g2, colors1, colors2, seeds) == want
+
+
+@pytest.fixture
+def order_builds(monkeypatch):
+    """A list that gains the mapped sources of every extension-order build."""
+    builds = []
+    original = S._extension_order
+
+    def counted(adjacency, sources):
+        builds.append(tuple(sources))
+        return original(adjacency, sources)
+
+    monkeypatch.setattr(S, "_extension_order", counted)
+    return builds
+
+
+def test_one_extension_order_per_level(order_builds, monkeypatch):
+    searches = []
+    original = S._search_map
+
+    def counted(g1, g2, colors1, colors2, seeds):
+        searches.append(tuple(u for u, _ in seeds))
+        return original(g1, g2, colors1, colors2, seeds)
+
+    monkeypatch.setattr(S, "_search_map", counted)
+    foster = atlas_get("foster").graph  # a fresh graph with an empty cache
+    assert S.automorphism_group(foster).order() == 4320
+    # level i maps its i fixed points and one branch vertex, and builds once
+    assert [len(b) for b in order_builds] == list(range(1, len(order_builds) + 1))
+    assert all(set(a) < set(b) for a, b in zip(order_builds, order_builds[1:]))
+    assert len(set(searches)) == len(order_builds) < len(searches)
+
+
+def test_one_extension_order_per_isomorphism_test(order_builds):
+    foster = atlas_get("foster").graph
+    images = list(range(foster.n))
+    random.Random(90).shuffle(images)
+    relabeled = build_graph(foster.n, [(images[u], images[v]) for u, v in foster.edges()])
+    # swapping two edges makes a 9-cycle, so every root target fails
+    swapped = build_graph(foster.n, set(foster.edges()) - {(0, 1), (2, 3)} | {(0, 2), (1, 3)})
+    assert graphmod.girth(swapped) == 9
+    for other, isomorphic in ((relabeled, True), (swapped, False)):
+        order_builds.clear()
+        found = S.are_isomorphic(atlas_get("foster").graph, other)
+        assert (found is not None) == isomorphic
+        assert len(order_builds) == 1
 
 
 # ---------------------------------------------------------------------------
