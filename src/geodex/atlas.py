@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 from . import graph as graphmod
 from . import perm as permmod
+from . import symmetry as symmod
 from .errors import (
     ContainsIdentity,
     GeodexError,
@@ -148,7 +149,7 @@ def finite_field(q: int) -> FiniteField:
         return _FIELD_CACHE[q]
     if not 2 <= q <= _MAX_Q:
         raise UnsupportedQ(f"no field table for q={q}")
-    pf = _prime_power(q)
+    pf = symmod._prime_power(q)
     if pf is None:
         raise UnsupportedQ(f"{q} is not a prime power")
     p, e = pf
@@ -175,22 +176,6 @@ def finite_field(q: int) -> FiniteField:
     _verify_field(field)
     _FIELD_CACHE[q] = field
     return field
-
-
-def _prime_power(q: int) -> tuple[int, int] | None:
-    if q < 2:
-        return None
-    for p in range(2, q + 1):
-        if p * p > q:
-            return (q, 1)
-        if q % p == 0:
-            f = 0
-            rest = q
-            while rest % p == 0:
-                rest //= p
-                f += 1
-            return (p, f) if rest == 1 else None
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -485,15 +470,7 @@ class ExpectedInvariants:
     geodesic_degree: int | None = None
 
     def to_json(self) -> dict:
-        return {
-            "valency": self.valency,
-            "girth": self.girth,
-            "diameter": self.diameter,
-            "intersection_array": self.intersection_array,
-            "aut_order": self.aut_order,
-            "arc_degree": self.arc_degree,
-            "geodesic_degree": self.geodesic_degree,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -525,8 +502,6 @@ class NamedGraphRecord:
                 ("intersection_array", exp.intersection_array, str(arr) if arr else None)
             )
         if full:
-            from . import symmetry as symmod
-
             aut = symmod.automorphism_group(self.graph)
             if exp.aut_order is not None:
                 checks.append(("aut_order", exp.aut_order, aut.order()))
@@ -555,14 +530,14 @@ class NamedGraphRecord:
         }
 
 
-def _load_data_file(filename: str) -> Graph:
+def _load_data_file(filename: str) -> dict:
+    """Parsed JSON of an embedded data file, read from ``GEODEX_DATA_DIR``
+    instead of the package when that variable is set."""
     override = os.environ.get("GEODEX_DATA_DIR")
     if override:
-        path = os.path.join(override, filename)
-        with open(path, encoding="utf-8") as fh:
-            return graphmod.graph_from_json(json.load(fh))
-    payload = resources.files("geodex.data").joinpath(filename).read_text("utf-8")
-    return graphmod.graph_from_json(json.loads(payload))
+        with open(os.path.join(override, filename), encoding="utf-8") as fh:
+            return json.load(fh)
+    return json.loads(resources.files("geodex.data").joinpath(filename).read_text("utf-8"))
 
 
 def _petersen() -> Graph:
@@ -618,14 +593,14 @@ _CATALOG: dict[str, dict] = {
         ),
     },
     "biggs-smith": {
-        "builder": lambda: _load_data_file("biggs_smith.json"),
+        "builder": lambda: graphmod.graph_from_json(_load_data_file("biggs_smith.json")),
         "source": "embedded edge list (data/biggs_smith.json)",
         "expected": ExpectedInvariants(
             3, 9, 7, "{3,2,2,2,1,1,1;1,1,1,1,1,1,3}", 2448, 4, 7
         ),
     },
     "hexagon-q2": {
-        "builder": lambda: _load_data_file("hexagon_q2.json"),
+        "builder": lambda: graphmod.graph_from_json(_load_data_file("hexagon_q2.json")),
         "source": "embedded edge list (data/hexagon_q2.json)",
         "aliases": ("delta-5-2", "delta-6-2", "tutte-12-cage"),
         "expected": ExpectedInvariants(
@@ -648,8 +623,8 @@ def atlas_list() -> list[str]:
     return sorted(_CATALOG) + ["K3,3", "C6"]
 
 
-def atlas_get(name: str, validate: bool = True) -> NamedGraphRecord:
-    """Fetch and (by default) basic-validate a catalog record.
+def atlas_get(name: str) -> NamedGraphRecord:
+    """Fetch a catalog record, with its cheap invariants validated.
 
     Accepts canonical names, recorded aliases, and the parameterized forms
     "K{n},{n}" and "C{n}".
@@ -709,6 +684,5 @@ def atlas_get(name: str, validate: bool = True) -> NamedGraphRecord:
         )
     if record is None:
         raise UnknownName(f"no catalog entry named {name!r}")
-    if validate:
-        record.validate(full=False)
+    record.validate(full=False)
     return record

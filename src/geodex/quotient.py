@@ -11,8 +11,9 @@ counterexample candidate with evidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
+from . import atlas as atlasmod
 from . import graph as graphmod
 from . import perm as permmod
 from . import symmetry as symmod
@@ -156,17 +157,7 @@ class GirthBoundReport:
     verdict: str  # holds | violated | premise-violation | excluded-s7
 
     def to_json(self) -> dict:
-        return {
-            "s": self.s,
-            "lower": self.lower,
-            "quotient_girth": self.quotient_girth,
-            "cover_girth": self.cover_girth,
-            "bounds_hold": self.bounds_hold,
-            "premises": self.premises,
-            "quotient_arc_transitive_prev": self.quotient_arc_transitive_prev,
-            "quotient_arc_transitive_s": self.quotient_arc_transitive_s,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def girth_window_level(girth: int) -> int:
@@ -255,16 +246,7 @@ class LiftProfile:
         return self.verdict == "holds"
 
     def to_json(self) -> dict:
-        return {
-            "blocks": list(self.blocks),
-            "lifted_arc": list(self.lifted_arc),
-            "s": self.s,
-            "cover_distances": list(self.cover_distances),
-            "endpoint_distance": self.endpoint_distance,
-            "quotient_distances": list(self.quotient_distances),
-            "checks": self.checks,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def _normalize_cycle(result: QuotientResult, cycle) -> list[int]:
@@ -462,8 +444,6 @@ def verify_reduction(graph: Graph, group: PermGroup, normal_subgroup: PermGroup,
 
     # girth dropped (or the diameter did): the only admissible instance is the
     # exceptional 3-fold cover of the generalized quadrangle of order 2
-    from . import atlas as atlasmod
-
     foster = atlasmod.atlas_get("foster").graph
     tutte_coxeter = atlasmod.atlas_get("tutte-coxeter").graph
     iso_cover = symmod.are_isomorphic(graph, foster)

@@ -11,7 +11,7 @@ count), never by listing tuple orbits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import graph as graphmod
 from . import perm as permmod
@@ -24,7 +24,6 @@ from .errors import (
     PreconditionUnverified,
     ValencyNotPrimePowerPlusOne,
 )
-from .atlas import _prime_power
 from .graph import Graph
 from .perm import PermGroup, Permutation, build_group
 
@@ -364,14 +363,7 @@ class TransitivityReport:
     arc_degree_capped: bool = False
 
     def to_json(self) -> dict:
-        return {
-            "arc_degree": self.arc_degree,
-            "geodesic_degree": self.geodesic_degree,
-            "geodesic_transitive": self.geodesic_transitive,
-            "b_s_shortcut_used": self.b_s_shortcut_used,
-            "shortcut_level": self.shortcut_level,
-            "arc_degree_capped": self.arc_degree_capped,
-        }
+        return asdict(self)
 
 
 def transitivity_degrees(graph: Graph, group: PermGroup) -> TransitivityReport:
@@ -637,6 +629,23 @@ def bi_analysis(graph: Graph, group: PermGroup) -> ActionClass:
 # stabilizer structure (4-arc transitive graphs)
 # ---------------------------------------------------------------------------
 
+def _prime_power(q: int) -> tuple[int, int] | None:
+    """(p, f) with q = p^f for a prime p, or None."""
+    if q < 2:
+        return None
+    for p in range(2, q + 1):
+        if p * p > q:
+            return (q, 1)
+        if q % p == 0:
+            f = 0
+            rest = q
+            while rest % p == 0:
+                rest //= p
+                f += 1
+            return (p, f) if rest == 1 else None
+    return None
+
+
 def _gl2_order(q: int) -> int:
     return (q * q - 1) * (q * q - q)
 
@@ -667,23 +676,7 @@ class WeissReport:
     parameter: int | None
 
     def to_json(self) -> dict:
-        return {
-            "s": self.s,
-            "valency": self.valency,
-            "q": self.q,
-            "p": self.p,
-            "f": self.f,
-            "stabilizer_order": self.stabilizer_order,
-            "b_levels": list(self.b_levels),
-            "product": self.product,
-            "product_terms": self.product_terms,
-            "divides": self.divides,
-            "kernel_order": self.kernel_order,
-            "kernel_is_p_group": self.kernel_is_p_group,
-            "case": self.case,
-            "matched": self.matched,
-            "parameter": self.parameter,
-        }
+        return asdict(self)
 
 
 def weiss_divisibility_check(graph: Graph, group: PermGroup, s: int) -> WeissReport:

@@ -293,39 +293,35 @@ def claim_foster_imprimitive(ctx: VerificationContext) -> list[str]:
     return failures
 
 
+#: connected graphs on 1..7 vertices, one per isomorphism class
+CONNECTED_GRAPHS_UP_TO_7 = 996
+
+
 @_claim(10, "oracle equivalence", budget=300.0)
 def claim_oracle_equivalence(ctx: VerificationContext) -> list[str]:
     failures: list[str] = []
     # automorphism orders against the permutation-backtrack count
+    small = 0
     for idx, graph in enumerate(_automorphism_corpus()):
+        small += graph.n <= 7
         brute = oracles.brute_force_automorphism_count(graph)
         fast = symmod.automorphism_group(graph).order()
         if brute != fast:
             failures.append(f"aut corpus #{idx} (n={graph.n}): {fast} != brute {brute}")
+    # a truncated data file must fail the claim, not shrink it
+    _check(failures, "connected graphs on <= 7 vertices", CONNECTED_GRAPHS_UP_TO_7, small)
     failures.extend(_geodesic_oracle_failures(ctx))
     failures.extend(_group_order_oracle_failures())
     return failures
 
 
 def _automorphism_corpus():
-    """All connected graphs on <= 7 vertices (exhaustive up to isomorphism
-    when networkx's atlas is available, labeled-exhaustive to 5 otherwise)
-    plus a seeded random 8-vertex sample and named 8-vertex graphs."""
-    try:
-        import networkx as nx
-
-        seen = 0
-        for g in nx.graph_atlas_g()[1:]:
-            if g.number_of_nodes() == 0 or not nx.is_connected(g):
-                continue
-            nodes = sorted(g.nodes())
-            index = {v: i for i, v in enumerate(nodes)}
-            yield graphmod.build_graph(
-                len(nodes), [(index[u], index[v]) for u, v in g.edges()]
-            )
-            seen += 1
-    except ImportError:
-        yield from oracles.all_labeled_connected_graphs(5)
+    """All connected graphs on <= 7 vertices, one per isomorphism class in
+    the order of Read & Wilson's *An Atlas of Graphs* (the embedded
+    ``connected_graphs_7.json``), then a seeded random 8-vertex sample and
+    four named 8-vertex graphs."""
+    for code in atlasmod._load_data_file("connected_graphs_7.json")["graph6"]:
+        yield graphmod.graph6_decode(code)
 
     rng = random.Random(8151)
     produced = 0

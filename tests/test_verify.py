@@ -1,8 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
-from geodex import cli, verify
+import pytest
+
+import geodex
+from geodex import atlas, cli, verify
+from geodex.graph import build_graph
 
 
 def _fake_claim(criterion, name, failures, budget=None):
@@ -68,3 +76,48 @@ def test_cli_verify_json(monkeypatch, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
     assert payload["claims"][0]["criterion"] == 7
+
+
+def test_corpus_is_the_connected_atlas_graphs_in_order():
+    nx = pytest.importorskip("networkx")
+    want = [
+        build_graph(hx.number_of_nodes(), hx.edges()).adjacency
+        for hx in nx.graph_atlas_g()[1:]
+        if nx.is_connected(hx)
+    ]
+    assert len(want) == verify.CONNECTED_GRAPHS_UP_TO_7
+    corpus = list(verify._automorphism_corpus())
+    assert [graph.adjacency for graph in corpus[: len(want)]] == want
+    assert all(graph.n == 8 for graph in corpus[len(want):])
+
+
+def test_corpus_without_networkx():
+    code = textwrap.dedent(
+        """
+        import json, sys
+
+        sys.modules["networkx"] = None
+        from geodex import cli, verify  # cli imports every module
+
+        print(json.dumps([[g.n, g.edges()] for g in verify._automorphism_corpus()]))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geodex.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    blocked = [(n, [tuple(e) for e in edges]) for n, edges in json.loads(proc.stdout)]
+    assert len(blocked) == 1060
+    assert blocked == [(g.n, g.edges()) for g in verify._automorphism_corpus()]
+
+
+def test_truncated_corpus_fails_claim_10(tmp_path, monkeypatch):
+    codes = atlas._load_data_file("connected_graphs_7.json")["graph6"]
+    path = tmp_path / "connected_graphs_7.json"
+    path.write_text(json.dumps({"graph6": codes[:-1]}))
+    monkeypatch.setenv("GEODEX_DATA_DIR", str(tmp_path))
+    result = verify.run_claim(verify.claim_oracle_equivalence, verify.VerificationContext())
+    assert not result.passed
+    assert result.detail == "connected graphs on <= 7 vertices: expected 996, got 995"
