@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import pathlib
 from dataclasses import asdict, dataclass
 from importlib import resources
 
@@ -18,6 +19,7 @@ from . import graph as graphmod
 from . import perm as permmod
 from . import symmetry as symmod
 from .errors import (
+    BadInputFile,
     ContainsIdentity,
     GeodexError,
     GInH,
@@ -530,14 +532,29 @@ class NamedGraphRecord:
         }
 
 
-def _load_data_file(filename: str) -> dict:
-    """Parsed JSON of an embedded data file, read from ``GEODEX_DATA_DIR``
-    instead of the package when that variable is set."""
+def _load_data_file(filename: str, keys: tuple[str, ...]) -> dict:
+    """Parsed JSON object of an embedded data file, read from
+    ``GEODEX_DATA_DIR`` instead of the package when that variable is set.
+
+    Raises BadInputFile, naming the path, when the file is missing or
+    unreadable, is not JSON, or is not an object holding every one of ``keys``.
+    """
     override = os.environ.get("GEODEX_DATA_DIR")
     if override:
-        with open(os.path.join(override, filename), encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.loads(resources.files("geodex.data").joinpath(filename).read_text("utf-8"))
+        path = pathlib.Path(override, filename)
+    else:
+        path = resources.files("geodex.data").joinpath(filename)
+    try:
+        data = json.loads(path.read_text("utf-8"))
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise BadInputFile(f"cannot read {path}: {exc}") from exc
+    if not isinstance(data, dict) or any(key not in data for key in keys):
+        raise BadInputFile(f"{path}: expected a JSON object with keys {', '.join(keys)}")
+    return data
+
+
+def _data_graph(filename: str) -> Graph:
+    return graphmod.graph_from_json(_load_data_file(filename, ("n", "edges")))
 
 
 def _petersen() -> Graph:
@@ -593,14 +610,14 @@ _CATALOG: dict[str, dict] = {
         ),
     },
     "biggs-smith": {
-        "builder": lambda: graphmod.graph_from_json(_load_data_file("biggs_smith.json")),
+        "builder": lambda: _data_graph("biggs_smith.json"),
         "source": "embedded edge list (data/biggs_smith.json)",
         "expected": ExpectedInvariants(
             3, 9, 7, "{3,2,2,2,1,1,1;1,1,1,1,1,1,3}", 2448, 4, 7
         ),
     },
     "hexagon-q2": {
-        "builder": lambda: graphmod.graph_from_json(_load_data_file("hexagon_q2.json")),
+        "builder": lambda: _data_graph("hexagon_q2.json"),
         "source": "embedded edge list (data/hexagon_q2.json)",
         "aliases": ("delta-5-2", "delta-6-2", "tutte-12-cage"),
         "expected": ExpectedInvariants(

@@ -98,7 +98,7 @@ class NotVertexTransitive(GeodexError):
 
 
 class NotTransitive(GeodexError):
-    """Operation requires a transitive action on the given domain."""
+    """Operation requires a transitive group."""
 
 
 class ValencyNotPrimePowerPlusOne(GeodexError):

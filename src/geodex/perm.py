@@ -395,10 +395,9 @@ class PermGroup:
             raise PointOutOfRange(f"point {point} outside 0..{self.degree - 1}")
         return frozenset(_orbit([g.images for g in self.generators], (point,)))
 
-    def is_transitive(self, domain=None) -> bool:
-        """True iff ``domain`` (default: all points) is exactly one orbit."""
-        pts = set(range(self.degree) if domain is None else domain)
-        return not pts or self.orbit(min(pts)) == pts
+    def is_transitive(self) -> bool:
+        """True iff the points 0..degree-1 form one orbit."""
+        return len(self.orbit(0)) == self.degree
 
     def is_abelian(self) -> bool:
         gens = [g.images for g in self.generators]
@@ -468,25 +467,15 @@ def _group_from_chain(degree: int, raw_gens, chain: _Chain) -> PermGroup:
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def orbits(group: PermGroup, domain=None) -> list[tuple[int, ...]]:
-    """Orbit partition of ``domain`` (default: all points), sorted by minimum."""
-    if domain is None:
-        domain = range(group.degree)
-    domain = set(domain)
-    pts = sorted(domain)
-    for p in pts:
-        if not 0 <= p < group.degree:
-            raise PointOutOfRange(f"point {p} outside 0..{group.degree - 1}")
+def orbits(group: PermGroup) -> list[tuple[int, ...]]:
+    """Orbit partition of all points, sorted by minimum."""
     gens = [g.images for g in group.generators]
     seen = set()
     cells = []
-    for p in pts:
+    for p in range(group.degree):
         if p in seen:
             continue
         cell = _orbit(gens, (p,))
-        if not cell <= domain:
-            # orbits leaving the domain mean the domain is not invariant
-            raise PointOutOfRange(f"domain is not invariant: orbit of {p} leaves it")
         seen |= cell
         cells.append(tuple(sorted(cell)))
     return cells
@@ -631,29 +620,18 @@ def normal_structure(group: PermGroup) -> tuple[list[PermGroup], PermGroup]:
     return result
 
 
-def is_semiregular(group: PermGroup, domain) -> bool:
-    """True iff the stabilizer of every point of ``domain`` is trivial."""
-    pts = sorted(set(domain))
-    if not pts:
-        raise PointOutOfRange("domain must be nonempty")
+def is_semiregular(group: PermGroup) -> bool:
+    """True iff every point stabilizer is trivial, i.e. (orbit-stabilizer)
+    every orbit has |G| points."""
     order = group.order()
-    seen = set()
-    for p in pts:
-        if p in seen:
-            continue
-        orb = group.orbit(p)  # range check happens here
-        seen |= orb
-        # orbit-stabilizer: trivial stabilizer iff the orbit has full size
-        if len(orb) != order:
-            return False
-    return True
+    return all(len(cell) == order for cell in orbits(group))
 
 
 def restriction(group: PermGroup, points) -> tuple[PermGroup, bool]:
     """Action of ``group`` on an invariant point set, relabeled to 0..k-1.
 
     Returns (restricted group, faithful flag); ``points`` keeps its order as
-    the relabeling.
+    the relabeling.  The action is faithful iff its image is as large as G.
     """
     pts = list(points)
     index = {p: i for i, p in enumerate(pts)}
@@ -669,8 +647,7 @@ def restriction(group: PermGroup, points) -> tuple[PermGroup, bool]:
             images[index[p]] = index[q]
         gens.append(Permutation(tuple(images)))
     restricted = build_group(gens, degree=max(1, len(pts)))
-    kernel = pointwise_stabilizer(group, pts)
-    return restricted, kernel.order() == 1
+    return restricted, restricted.order() == group.order()
 
 
 def induced_action(group: PermGroup, blocks) -> tuple[PermGroup, PermGroup]:

@@ -423,7 +423,7 @@ def verify_reduction(graph: Graph, group: PermGroup, normal_subgroup: PermGroup,
         "girth": g,
         "orbit_count": len(n_orbits),
         "orbit_sizes": sorted({len(c) for c in n_orbits}),
-        "semiregular": permmod.is_semiregular(normal_subgroup, range(graph.n)),
+        "semiregular": permmod.is_semiregular(normal_subgroup),
     }
     evidence["is_cover"] = result.is_cover
     evidence["girth_pair"] = list(result.girth_pair)

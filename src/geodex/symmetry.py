@@ -156,6 +156,11 @@ def _search_map(g1, g2, colors1, colors2, seeds):
     return result
 
 
+def _check_search_cap(n: int) -> None:
+    if n > AUTOMORPHISM_VERTEX_CAP:
+        raise GraphTooLarge(f"{n} vertices exceeds the search cap {AUTOMORPHISM_VERTEX_CAP}")
+
+
 def automorphism_group(graph: Graph) -> PermGroup:
     """Full automorphism group via individualization plus backtracking.
 
@@ -164,10 +169,7 @@ def automorphism_group(graph: Graph) -> PermGroup:
     targets already reachable (or already refuted) under the generators found
     so far.  Raises GraphTooLarge above AUTOMORPHISM_VERTEX_CAP vertices.
     """
-    if graph.n > AUTOMORPHISM_VERTEX_CAP:
-        raise GraphTooLarge(
-            f"{graph.n} vertices exceeds the search cap {AUTOMORPHISM_VERTEX_CAP}"
-        )
+    _check_search_cap(graph.n)
     if graph.n == 0 or not graph.connected:
         raise Disconnected("automorphism search requires a connected graph")
     base_colors = _initial_colors(graph)
@@ -217,8 +219,11 @@ def automorphism_group(graph: Graph) -> PermGroup:
 def are_isomorphic(g1: Graph, g2: Graph):
     """A vertex bijection g1 -> g2 (as an image tuple), or None.
 
-    Works for disconnected inputs by matching components.
+    Works for disconnected inputs by matching components.  Raises
+    GraphTooLarge when either graph has more than AUTOMORPHISM_VERTEX_CAP
+    vertices.
     """
+    _check_search_cap(max(g1.n, g2.n))
     if g1.n != g2.n or g1.m != g2.m:
         return None
     if sorted(g1.degrees()) != sorted(g2.degrees()):
@@ -426,11 +431,10 @@ def transitivity_degrees(graph: Graph, group: PermGroup) -> TransitivityReport:
 # block systems and primitivity
 # ---------------------------------------------------------------------------
 
-def minimal_block_system(group: PermGroup, domain, alpha: int, beta: int):
-    """Finest G-congruence on ``domain`` merging alpha and beta (as a block list)."""
-    pts = sorted(domain)
+def minimal_block_system(group: PermGroup, alpha: int, beta: int):
+    """Finest G-congruence merging alpha and beta (as a block list)."""
     gens = [g.images for g in group.generators]
-    parent = {p: p for p in pts}
+    parent = list(range(group.degree))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -451,32 +455,29 @@ def minimal_block_system(group: PermGroup, domain, alpha: int, beta: int):
                 parent[rd] = re
                 queue.append(rd)
     cells: dict[int, list[int]] = {}
-    for p in pts:
+    for p in range(group.degree):
         cells.setdefault(find(p), []).append(p)
-    return sorted((tuple(sorted(c)) for c in cells.values()), key=lambda c: c[0])
+    return sorted((tuple(c) for c in cells.values()), key=lambda c: c[0])
 
 
-def block_systems(group: PermGroup, domain=None) -> list[tuple[tuple[int, ...], ...]]:
-    """All distinct minimal nontrivial block systems of a transitive action."""
-    pts = sorted(domain) if domain is not None else list(range(group.degree))
-    if not group.is_transitive(pts):
+def block_systems(group: PermGroup) -> list[tuple[tuple[int, ...], ...]]:
+    """All distinct minimal nontrivial block systems of a transitive group."""
+    if not group.is_transitive():
         raise NotTransitive("block systems need a transitive action")
-    if len(pts) <= 1:
-        return []
-    # the finest system merging alpha and beta depends only on beta's
-    # G_alpha-orbit; suborbits are sorted by minimum, so {alpha} comes first
-    alpha = pts[0]
-    suborbits = permmod.orbits(permmod.pointwise_stabilizer(group, [alpha]), pts)
+    n = group.degree
+    # the finest system merging 0 and beta depends only on beta's
+    # G_0-orbit; suborbits are sorted by minimum, so {0} comes first
+    suborbits = permmod.orbits(permmod.pointwise_stabilizer(group, [0]))
     systems = set()
     for beta, *_ in suborbits[1:]:
-        blocks = minimal_block_system(group, pts, alpha, beta)
-        if 1 < len(blocks[0]) < len(pts):
+        blocks = minimal_block_system(group, 0, beta)
+        if 1 < len(blocks[0]) < n:
             systems.add(tuple(blocks))
     return sorted(systems, key=lambda s: (len(s[0]), s))
 
 
-def is_primitive(group: PermGroup, domain=None) -> bool:
-    return not block_systems(group, domain)
+def is_primitive(group: PermGroup) -> bool:
+    return not block_systems(group)
 
 
 @dataclass(frozen=True)
@@ -491,15 +492,14 @@ class QuasiprimitivityReport:
         }
 
 
-def quasiprimitivity(group: PermGroup, domain=None) -> QuasiprimitivityReport:
+def quasiprimitivity(group: PermGroup) -> QuasiprimitivityReport:
     """Every nontrivial normal subgroup transitive?  It suffices to test the
     minimal normal subgroups: orbits only coarsen in overgroups."""
-    pts = sorted(domain) if domain is not None else list(range(group.degree))
-    if not group.is_transitive(pts):
+    if not group.is_transitive():
         raise NotTransitive("quasiprimitivity needs a transitive action")
     minimals, _ = permmod.normal_structure(group)
     for m in minimals:
-        if not m.is_transitive(pts):
+        if not m.is_transitive():
             return QuasiprimitivityReport(False, m)
     return QuasiprimitivityReport(True, None)
 
@@ -552,12 +552,12 @@ def _is_simple(group: PermGroup) -> bool:
     return len(minimals) == 1 and minimals[0].order() == group.order()
 
 
-def _socle_tag(x: PermGroup, domain_size: int) -> str:
+def _socle_tag(x: PermGroup) -> str:
     minimals, socle = permmod.normal_structure(x)
     if not minimals:
         return "other"
     abelian = socle.is_abelian()
-    regular = socle.is_transitive() and socle.order() == domain_size
+    regular = socle.is_transitive() and socle.order() == x.degree
     if abelian and regular:
         return "abelian-regular"
     # a minimal normal subgroup of order |x| is x, whose structure is cached
@@ -588,11 +588,10 @@ def bi_analysis(graph: Graph, group: PermGroup) -> ActionClass:
     if parts is not None:
         delta1, delta2 = parts
         _, g_plus = permmod.induced_action(group, [delta1, delta2])
-        biprimitive = False
-        try:
-            biprimitive = is_primitive(g_plus, delta1) and is_primitive(g_plus, delta2)
-        except NotTransitive:
-            biprimitive = False
+        # G is transitive on V, so G+ is transitive on each bipart
+        x1, faithful1 = permmod.restriction(g_plus, delta1)
+        x2, _ = permmod.restriction(g_plus, delta2)
+        biprimitive = is_primitive(x1) and is_primitive(x2)
         minimals, _ = permmod.normal_structure(group)
         orbit_counts = [len(permmod.orbits(m)) for m in minimals]
         biquasi = bool(minimals) and all(c <= 2 for c in orbit_counts) and any(
@@ -606,12 +605,11 @@ def bi_analysis(graph: Graph, group: PermGroup) -> ActionClass:
     if quasi.quasiprimitive:
         x_omega = (group, tuple(range(graph.n)))
         x_faithful = True
-        socle_tag = _socle_tag(group, graph.n)
+        socle_tag = _socle_tag(group)
     elif setting is not None and setting.biquasiprimitive:
-        restricted, faithful = permmod.restriction(setting.g_plus, setting.delta1)
-        x_omega = (restricted, setting.delta1)
-        x_faithful = faithful
-        socle_tag = _socle_tag(restricted, len(setting.delta1))
+        x_omega = (x1, setting.delta1)
+        x_faithful = faithful1
+        socle_tag = _socle_tag(x1)
 
     return ActionClass(
         transitive=True,

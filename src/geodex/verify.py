@@ -320,7 +320,7 @@ def _automorphism_corpus():
     the order of Read & Wilson's *An Atlas of Graphs* (the embedded
     ``connected_graphs_7.json``), then a seeded random 8-vertex sample and
     four named 8-vertex graphs."""
-    for code in atlasmod._load_data_file("connected_graphs_7.json")["graph6"]:
+    for code in atlasmod._load_data_file("connected_graphs_7.json", ("graph6",))["graph6"]:
         yield graphmod.graph6_decode(code)
 
     rng = random.Random(8151)

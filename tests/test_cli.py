@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import geodex
 from geodex import cli
 from geodex import graph as G
 
@@ -209,3 +213,31 @@ def test_group_file_without_degree(capsys, tmp_path):
     )
     assert code == 1
     assert json.loads(out)["error"] == "BadInputFile"
+
+
+def test_atlas_get_with_empty_data_dir(tmp_path):
+    # a fresh process, so an escaping exception would print a traceback
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geodex.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, GEODEX_DATA_DIR=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "geodex.cli", "atlas", "get", "biggs-smith", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    (line,) = proc.stdout.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "BadInputFile"
+    assert str(tmp_path / "biggs_smith.json") in payload["message"]
+
+
+@pytest.mark.parametrize("content", ["{", "[1, 2]", json.dumps({"n": 3}), json.dumps({"edges": []})])
+def test_atlas_get_with_bad_data_file(capsys, tmp_path, monkeypatch, content):
+    path = tmp_path / "biggs_smith.json"
+    path.write_text(content)
+    monkeypatch.setenv("GEODEX_DATA_DIR", str(tmp_path))
+    code, out, _ = run(capsys, "atlas", "get", "biggs-smith", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"] == "BadInputFile"
+    assert str(path) in payload["message"]

@@ -186,19 +186,14 @@ class TestBuildGroup:
 class TestOrbits:
     def test_trivial_group_singletons(self):
         g = build_group([], degree=5)
-        assert perm.orbits(g, range(5)) == [(0,), (1,), (2,), (3,), (4,)]
+        assert perm.orbits(g) == [(0,), (1,), (2,), (3,), (4,)]
 
     def test_two_cycles(self):
         g = build_group([cyc(6, (0, 1, 2), (3, 4, 5))])
-        assert perm.orbits(g, range(6)) == [(0, 1, 2), (3, 4, 5)]
-
-    def test_point_out_of_range(self):
-        g = build_group([cyc(3, (0, 1, 2))])
-        with pytest.raises(PointOutOfRange):
-            perm.orbits(g, [0, 7])
+        assert perm.orbits(g) == [(0, 1, 2), (3, 4, 5)]
 
     def test_foster_normal_orbits(self, foster_n):
-        cells = perm.orbits(foster_n, range(90))
+        cells = perm.orbits(foster_n)
         assert len(cells) == 30
         assert all(len(c) == 3 for c in cells)
         # independent flood fill over the generator images
@@ -362,19 +357,14 @@ class TestNormalStructure:
 class TestSemiregular:
     def test_regular_cyclic(self):
         c5 = build_group([cyc(5, (0, 1, 2, 3, 4))])
-        assert perm.is_semiregular(c5, range(5))
+        assert perm.is_semiregular(c5)
 
     def test_s3_not_semiregular(self):
         s3 = build_group([cyc(3, (0, 1, 2)), cyc(3, (0, 1))])
-        assert not perm.is_semiregular(s3, range(3))
-
-    def test_empty_domain_rejected(self):
-        c5 = build_group([cyc(5, (0, 1, 2, 3, 4))])
-        with pytest.raises(PointOutOfRange):
-            perm.is_semiregular(c5, [])
+        assert not perm.is_semiregular(s3)
 
     def test_foster_normal_semiregular(self, foster_n):
-        assert perm.is_semiregular(foster_n, range(90))
+        assert perm.is_semiregular(foster_n)
 
 
 class TestInducedAction:
@@ -396,7 +386,7 @@ class TestInducedAction:
             perm.induced_action(s3, [(0, 1), (2,)])
 
     def test_foster_block_action(self, foster_aut, foster_n):
-        blocks = perm.orbits(foster_n, range(90))
+        blocks = perm.orbits(foster_n)
         quotient, kernel = perm.induced_action(foster_aut, blocks)
         assert quotient.order() == 1440
         assert kernel.order() == 3
@@ -417,6 +407,17 @@ class TestRestriction:
         restricted, faithful = perm.restriction(g, [0, 1, 2])
         assert restricted.order() == 3
         assert not faithful
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_faithful_iff_trivial_pointwise_stabilizer(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=9))
+        count = data.draw(st.integers(min_value=0, max_value=3))
+        gens = [Permutation(tuple(data.draw(st.permutations(range(n))))) for _ in range(count)]
+        group = build_group(gens, degree=n)
+        orbit = sorted(group.orbit(data.draw(st.integers(min_value=0, max_value=n - 1))))
+        _, faithful = perm.restriction(group, orbit)
+        assert faithful == (perm.pointwise_stabilizer(group, orbit).order() == 1)
 
     def test_non_invariant_rejected(self):
         g = build_group([cyc(4, (0, 1, 2, 3))])

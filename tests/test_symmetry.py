@@ -66,6 +66,11 @@ class TestAutomorphismGroup:
         with pytest.raises(GraphTooLarge):
             S.automorphism_group(petersen)
 
+    def test_isomorphism_cap(self, petersen, monkeypatch):
+        monkeypatch.setattr(S, "AUTOMORPHISM_VERTEX_CAP", 5)
+        with pytest.raises(GraphTooLarge):
+            S.are_isomorphic(petersen, petersen)
+
     def test_one_distance_row_per_vertex(self, monkeypatch):
         # every question reads the one cached distance matrix of the graph
         rows = []
@@ -329,8 +334,9 @@ class TestBlocksAndPrimitivity:
         graph = ctx.graph("tutte-coxeter")
         delta1, delta2 = graphmod.bipartition(graph)
         _, g_plus = perm.induced_action(ctx.aut("tutte-coxeter"), [delta1, delta2])
-        for group, domain in ((ctx.aut("foster"), None), (g_plus, delta1), (c4, None)):
-            assert S.block_systems(group, domain) == _block_systems_every_beta(group, domain)
+        x1, _ = perm.restriction(g_plus, delta1)
+        for group in (ctx.aut("foster"), x1, c4):
+            assert S.block_systems(group) == _block_systems_every_beta(group)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -339,26 +345,16 @@ class TestBlocksAndPrimitivity:
         count = data.draw(st.integers(min_value=1, max_value=3))
         gens = [Permutation(tuple(data.draw(st.permutations(range(n))))) for _ in range(count)]
         group = build_group(gens, degree=n)
-        domain = sorted(group.orbit(0))  # G is transitive on each orbit
-        assert S.block_systems(group, domain) == _block_systems_every_beta(group, domain)
-
-    def test_domain_must_be_a_whole_orbit(self):
-        # [0, 1] lies inside the single orbit of S3 but is not invariant
-        s3 = build_group([cyc(3, (0, 1, 2)), cyc(3, (0, 1))])
-        assert not s3.is_transitive([0, 1])
-        assert s3.is_transitive([2, 0, 1])
-        for decider in (S.block_systems, S.is_primitive, S.quasiprimitivity):
-            with pytest.raises(NotTransitive):
-                decider(s3, [0, 1])
+        x, _ = perm.restriction(group, sorted(group.orbit(0)))  # transitive
+        assert S.block_systems(x) == _block_systems_every_beta(x)
 
 
-def _block_systems_every_beta(group, domain=None):
-    """Reference: the minimal system merging alpha with every other beta."""
-    pts = sorted(domain) if domain is not None else list(range(group.degree))
+def _block_systems_every_beta(group):
+    """Reference: the minimal system merging 0 with every other beta."""
     systems = set()
-    for beta in pts[1:]:
-        blocks = S.minimal_block_system(group, pts, pts[0], beta)
-        if 1 < len(blocks[0]) < len(pts):
+    for beta in range(1, group.degree):
+        blocks = S.minimal_block_system(group, 0, beta)
+        if 1 < len(blocks[0]) < group.degree:
             systems.add(tuple(blocks))
     return sorted(systems, key=lambda s: (len(s[0]), s))
 
@@ -425,6 +421,29 @@ class TestBiAnalysis:
             "socle_tag",
             "witness",
         }
+
+    def test_k33_bipart_restriction(self, k33):
+        # G+ = S3 x S3 and one factor fixes a bipart pointwise, so G+ acts
+        # unfaithfully there; the restriction is S3 on 3 points
+        delta1, delta2 = graphmod.bipartition(k33)
+        _, g_plus = perm.induced_action(S.automorphism_group(k33), [delta1, delta2])
+        x, faithful = perm.restriction(g_plus, delta1)
+        assert x.order() == 6
+        assert not faithful
+        assert S.is_primitive(x)
+        assert S.quasiprimitivity(x).quasiprimitive
+
+    @pytest.mark.parametrize(
+        "name",
+        ["heawood", "tutte-coxeter", "desargues", "foster", "k3,3", "c6", "k4,4", "c8"],
+    )
+    def test_primitive_bipart_action_is_quasiprimitive(self, ctx, name):
+        parts = graphmod.bipartition(ctx.graph(name))
+        _, g_plus = perm.induced_action(ctx.aut(name), parts)
+        for delta in parts:
+            x, _ = perm.restriction(g_plus, delta)
+            if S.is_primitive(x):
+                assert S.quasiprimitivity(x).quasiprimitive
 
     def test_petersen_quasiprimitive_simple_socle(self, petersen, petersen_aut):
         action = S.bi_analysis(petersen, petersen_aut)

@@ -114,10 +114,20 @@ def test_corpus_without_networkx():
 
 
 def test_truncated_corpus_fails_claim_10(tmp_path, monkeypatch):
-    codes = atlas._load_data_file("connected_graphs_7.json")["graph6"]
+    codes = atlas._load_data_file("connected_graphs_7.json", ("graph6",))["graph6"]
     path = tmp_path / "connected_graphs_7.json"
     path.write_text(json.dumps({"graph6": codes[:-1]}))
     monkeypatch.setenv("GEODEX_DATA_DIR", str(tmp_path))
     result = verify.run_claim(verify.claim_oracle_equivalence, verify.VerificationContext())
     assert not result.passed
     assert result.detail == "connected graphs on <= 7 vertices: expected 996, got 995"
+
+
+@pytest.mark.parametrize("content", [None, "not json", json.dumps({"graph": []})])
+def test_unreadable_corpus_fails_claim_10(tmp_path, monkeypatch, content):
+    if content is not None:
+        (tmp_path / "connected_graphs_7.json").write_text(content)
+    monkeypatch.setenv("GEODEX_DATA_DIR", str(tmp_path))
+    result = verify.run_claim(verify.claim_oracle_equivalence, verify.VerificationContext())
+    assert not result.passed
+    assert result.detail.startswith("raised BadInputFile")
