@@ -3,7 +3,8 @@ coset graph builders.
 
 Every catalog record carries expected invariants; the cheap ones (valency,
 girth, diameter, intersection array) are re-verified when the record is
-built, the group-theoretic ones on demand via ``NamedGraphRecord.validate``.
+built, the group-theoretic ones on demand via ``NamedGraphRecord.validate``
+or ``NamedGraphRecord.mismatches``.
 """
 
 from __future__ import annotations
@@ -461,6 +462,11 @@ def heisenberg_example(p: int) -> HeisenbergExample:
 # the catalog
 # ---------------------------------------------------------------------------
 
+def _check(failures: list[str], label: str, want, got) -> None:
+    if want != got:
+        failures.append(f"{label}: expected {want}, got {got}")
+
+
 @dataclass(frozen=True)
 class ExpectedInvariants:
     valency: int | None = None
@@ -484,42 +490,43 @@ class NamedGraphRecord:
     aliases: tuple[str, ...] = ()
     notes: str = ""
 
-    def validate(self, full: bool = False) -> None:
-        """Re-verify expected invariants; raise AtlasValidationError on mismatch.
+    def mismatches(self, full: bool = False) -> list[str]:
+        """Every expected invariant that the graph does not reproduce, as
+        ``"label: expected X, got Y"``.
 
         Cheap graph invariants are always checked; ``full`` adds the
         automorphism-group order and the transitivity degrees.
         """
         exp = self.expected
-        checks = []
+        failures: list[str] = []
         if exp.valency is not None:
-            checks.append(("valency", exp.valency, self.graph.valency))
+            _check(failures, "valency", exp.valency, self.graph.valency)
         if exp.girth is not None:
-            checks.append(("girth", exp.girth, graphmod.girth(self.graph)))
+            _check(failures, "girth", exp.girth, graphmod.girth(self.graph))
         if exp.diameter is not None:
-            checks.append(("diameter", exp.diameter, graphmod.diameter(self.graph)))
+            _check(failures, "diameter", exp.diameter, graphmod.diameter(self.graph))
         if exp.intersection_array is not None:
             arr = graphmod.intersection_array(self.graph)
-            checks.append(
-                ("intersection_array", exp.intersection_array, str(arr) if arr else None)
-            )
+            got = str(arr) if arr else None
+            _check(failures, "intersection_array", exp.intersection_array, got)
         if full:
             aut = symmod.automorphism_group(self.graph)
             if exp.aut_order is not None:
-                checks.append(("aut_order", exp.aut_order, aut.order()))
+                _check(failures, "aut_order", exp.aut_order, aut.order())
             if exp.arc_degree is not None or exp.geodesic_degree is not None:
                 report = symmod.transitivity_degrees(self.graph, aut)
                 if exp.arc_degree is not None:
-                    checks.append(("arc_degree", exp.arc_degree, report.arc_degree))
+                    _check(failures, "arc_degree", exp.arc_degree, report.arc_degree)
                 if exp.geodesic_degree is not None:
-                    checks.append(
-                        ("geodesic_degree", exp.geodesic_degree, report.geodesic_degree)
-                    )
-        for name, want, got in checks:
-            if want != got:
-                raise AtlasValidationError(
-                    f"{self.name}: expected {name}={want}, recomputed {got}"
-                )
+                    got = report.geodesic_degree
+                    _check(failures, "geodesic_degree", exp.geodesic_degree, got)
+        return failures
+
+    def validate(self, full: bool = False) -> None:
+        """Raise AtlasValidationError on the first of ``mismatches(full)``."""
+        failures = self.mismatches(full)
+        if failures:
+            raise AtlasValidationError(f"{self.name}: {failures[0]}")
 
     def to_json(self) -> dict:
         return {

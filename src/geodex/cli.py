@@ -1,15 +1,17 @@
 """Command-line front end.
 
 Subcommands: atlas, analyze, aut, transitivity, quotient, verify.  Exit code
-0 on success, 1 on failed verification or toolkit errors, 2 on usage errors
-(argparse's convention).  ``--format json`` switches every report, including
-errors, to machine-readable JSON.
+0 on success, 1 on failed verification, toolkit errors or a reader that
+closed stdout early, 2 on usage errors (argparse's convention).
+``--format json`` switches every report, including errors, to
+machine-readable JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import atlas as atlasmod
@@ -315,9 +317,7 @@ _HANDLERS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args) -> int:
     try:
         return _HANDLERS[args.command](args)
     except GeodexError as exc:
@@ -325,6 +325,18 @@ def main(argv=None) -> int:
             print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         else:
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except BrokenPipeError:
+        # the reader closed stdout early: exit quietly, with stdout pointed at
+        # devnull so that the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -151,10 +151,6 @@ def distance_matrix(graph: Graph) -> tuple[tuple[int, ...], ...]:
     return graph._cache["distmat"]
 
 
-def eccentricity(graph: Graph, u: int) -> int:
-    return max(distances(graph, u))
-
-
 def diameter(graph: Graph) -> int:
     if "diameter" not in graph._cache:
         graph._cache["diameter"] = max(max(row) for row in distance_matrix(graph))

@@ -126,9 +126,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 
-    def moved_points(self) -> tuple[int, ...]:
-        return tuple(i for i, j in enumerate(self.images) if i != j)
-
     def order(self) -> int:
         result = 1
         for cycle in self.cycles():
@@ -353,17 +350,11 @@ class PermGroup:
     def contains_raw(self, images) -> bool:
         return self._chain.contains(tuple(images))
 
-    def is_trivial(self) -> bool:
-        return self.order() == 1
-
     def base(self) -> tuple[int, ...]:
         return tuple(lvl.point for lvl in self._chain.levels)
 
     def basic_orbit_sizes(self) -> tuple[int, ...]:
         return tuple(len(lvl.transversal) for lvl in self._chain.levels)
-
-    def identity(self) -> Permutation:
-        return Permutation.identity(self.degree)
 
     # -- element access ----------------------------------------------------
 

@@ -241,10 +241,6 @@ class LiftProfile:
     checks: dict
     verdict: str  # holds | violated | premise-violation
 
-    @property
-    def lemma_holds(self) -> bool:
-        return self.verdict == "holds"
-
     def to_json(self) -> dict:
         return asdict(self)
 
@@ -293,8 +289,7 @@ def lift_cycle_profile(graph: Graph, result: QuotientResult, cycle) -> LiftProfi
         raise CycleTooLong(f"cycle length {k} is not below the cover girth {g_cover}")
 
     s = girth_window_level(g_cover)
-    diam = graphmod.diameter(graph)
-    premise_ok = s >= 2 and s <= diam and _cached_geodesic_transitive(result, s)
+    premise_ok = _cached_geodesic_transitive(result, s)
 
     # greedy lift; the cover property gives each vertex a neighbor in every
     # adjacent block (lowest index is taken at each step)

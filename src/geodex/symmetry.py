@@ -36,7 +36,10 @@ AUTOMORPHISM_VERTEX_CAP = 512
 # ---------------------------------------------------------------------------
 
 def _refine(adjacency, colors):
-    """Equitable refinement with canonical (label-independent) color ids."""
+    """Equitable refinement with canonical (label-independent) color ids.
+
+    From one cell (``[0] * n``) the first pass splits the vertices by degree.
+    """
     n = len(adjacency)
     ncolors = len(set(colors))
     while True:
@@ -49,13 +52,6 @@ def _refine(adjacency, colors):
         if len(ids) == ncolors:
             return colors
         ncolors = len(ids)
-
-
-def _initial_colors(graph: Graph):
-    """Degree-based equitable coloring with canonical ids."""
-    degs = graph.degrees()
-    ids = {d: i for i, d in enumerate(sorted(set(degs)))}
-    return _refine(graph.adjacency, [ids[d] for d in degs])
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +168,7 @@ def automorphism_group(graph: Graph) -> PermGroup:
     _check_search_cap(graph.n)
     if graph.n == 0 or not graph.connected:
         raise Disconnected("automorphism search requires a connected graph")
-    base_colors = _initial_colors(graph)
+    base_colors = _refine(graph.adjacency, [0] * graph.n)
     n = graph.n
 
     gens_raw: list[tuple[int, ...]] = []
@@ -239,8 +235,8 @@ def are_isomorphic(g1: Graph, g2: Graph):
     # is label-independent, so isomorphic graphs get corresponding ids; on
     # non-isomorphic inputs ids may coincide spuriously, and the search then
     # simply fails on the real constraints
-    colors1 = _initial_colors(g1)
-    colors2 = _initial_colors(g2)
+    colors1 = _refine(g1.adjacency, [0] * g1.n)
+    colors2 = _refine(g2.adjacency, [0] * g2.n)
     if sorted(colors1) != sorted(colors2):
         return None
     cell_of: dict[int, list[int]] = {}

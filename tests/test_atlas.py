@@ -103,10 +103,16 @@ class TestCatalog:
 
         record = A.atlas_get("petersen")
         lying = dataclasses.replace(
-            record, expected=dataclasses.replace(record.expected, girth=6)
+            record, expected=dataclasses.replace(record.expected, girth=6, aut_order=60)
         )
-        with pytest.raises(A.AtlasValidationError):
+        with pytest.raises(A.AtlasValidationError, match="^petersen: girth: expected 6, got 5$"):
             lying.validate()
+        # every lie is listed, the group-theoretic ones only in a full check
+        assert lying.mismatches() == ["girth: expected 6, got 5"]
+        assert lying.mismatches(full=True) == [
+            "girth: expected 6, got 5",
+            "aut_order: expected 60, got 120",
+        ]
 
     def test_hexagon_from_env_dir(self, tmp_path, monkeypatch):
         import json

@@ -231,6 +231,21 @@ def test_atlas_get_with_empty_data_dir(tmp_path):
     assert str(tmp_path / "biggs_smith.json") in payload["message"]
 
 
+def test_closed_pipe_exits_quietly():
+    # 145 kB of JSON overflows the pipe buffer, so the writer is still
+    # printing when the reader closes after one line
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geodex.__file__)))
+    with subprocess.Popen(
+        [sys.executable, "-m", "geodex.cli", "atlas", "get", "k60,60", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    ) as proc:
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == ""
+
+
 @pytest.mark.parametrize("content", ["{", "[1, 2]", json.dumps({"n": 3}), json.dumps({"edges": []})])
 def test_atlas_get_with_bad_data_file(capsys, tmp_path, monkeypatch, content):
     path = tmp_path / "biggs_smith.json"

@@ -107,7 +107,8 @@ def test_search_matches_reference(graph, data):
     if data.draw(st.booleans()):
         # one color-matched pair between the graph and its copy, as are_isomorphic seeds
         g2 = copy
-        colors1, colors2 = S._initial_colors(graph), S._initial_colors(copy)
+        colors1 = S._refine(graph.adjacency, [0] * n)
+        colors2 = S._refine(copy.adjacency, [0] * n)
         u = data.draw(st.integers(0, n - 1))
         cell = [t for t in range(n) if colors2[t] == colors1[u]]
         seeds = [(u, data.draw(st.sampled_from(cell)))]
@@ -115,7 +116,7 @@ def test_search_matches_reference(graph, data):
         # fixed points plus one pair inside the refined cell of v, as automorphism_group seeds
         g2 = graph
         fixed = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n - 1))
-        work = list(S._initial_colors(graph))
+        work = S._refine(graph.adjacency, [0] * n)
         for shift, f in enumerate(fixed, n):
             work[f] = shift
         colors1 = colors2 = S._refine(graph.adjacency, work)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -76,6 +77,19 @@ def test_cli_verify_json(monkeypatch, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
     assert payload["claims"][0]["criterion"] == 7
+
+
+def test_claims_register_in_criterion_order():
+    assert [fn._criterion for fn in verify.ALL_CLAIMS] == list(range(1, 12))
+
+
+def test_claim_1_reads_the_catalog_row(monkeypatch):
+    foster = atlas._CATALOG["foster"]
+    lie = dataclasses.replace(foster["expected"], aut_order=4321)
+    monkeypatch.setitem(foster, "expected", lie)
+    result = verify.run_claim(verify.claim_foster_row, verify.VerificationContext())
+    assert not result.passed
+    assert result.detail == "aut_order: expected 4321, got 4320"
 
 
 def test_corpus_is_the_connected_atlas_graphs_in_order():
