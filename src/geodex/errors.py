@@ -59,14 +59,6 @@ class Disconnected(GeodexError):
     """Operation requires a connected graph."""
 
 
-class Acyclic(GeodexError):
-    """Girth is undefined: the graph is a forest."""
-
-
-class SExceedsDiameter(GeodexError):
-    """Geodesic level s exceeds the diameter."""
-
-
 class NotRegular(GeodexError):
     """Operation requires a regular graph."""
 

@@ -11,13 +11,11 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import (
-    Acyclic,
     BadHeader,
     Disconnected,
     LoopEdge,
     NotCubic,
     NotRegular,
-    SExceedsDiameter,
     TruncatedPayload,
     VertexOutOfRange,
 )
@@ -161,24 +159,21 @@ def diameter(graph: Graph) -> int:
 # girth
 # ---------------------------------------------------------------------------
 
-def girth(graph: Graph) -> int:
-    """Length of a shortest cycle; raises Acyclic on forests."""
-    return girth_cycle(graph)[0]
+def girth(graph: Graph) -> int | None:
+    """Length of a shortest cycle, or None for a forest (cached).
 
-
-def girth_cycle(graph: Graph) -> tuple[int, list[int]]:
-    """(girth, one shortest cycle as a vertex list)."""
-    if "girth_cycle" in graph._cache:
-        return graph._cache["girth_cycle"]
+    A BFS from each root bounds the girth by dist[x] + dist[y] + 1 for every
+    non-tree edge {x, y}: the tree paths from x and y meet at their lowest
+    common ancestor and close a cycle no longer than that.  From a root on a
+    shortest cycle some non-tree edge gives exactly the girth, so the least
+    bound over all roots is the girth.
+    """
+    if "girth" in graph._cache:
+        return graph._cache["girth"]
     best = None
-    best_cycle = None
     adjacency = graph.adjacency
     n = graph.n
     for root in range(n):
-        # BFS with parent tracking; a non-tree edge (x, y) closes a cycle
-        # of length dist[x] + dist[y] + 1 through the root.  The minimum over
-        # all roots is exact because a shortest cycle realizes it at each of
-        # its own vertices.
         dist = [-1] * n
         parent = [-1] * n
         dist[root] = 0
@@ -186,7 +181,7 @@ def girth_cycle(graph: Graph) -> tuple[int, list[int]]:
         while queue:
             x = queue.popleft()
             dx = dist[x]
-            if best is not None and 2 * dx >= best:
+            if best is not None and 2 * dx + 1 >= best:
                 break
             for y in adjacency[x]:
                 if dist[y] < 0:
@@ -194,32 +189,11 @@ def girth_cycle(graph: Graph) -> tuple[int, list[int]]:
                     parent[y] = x
                     queue.append(y)
                 elif y != parent[x] and dist[y] >= dx:
-                    candidate = dx + dist[y] + 1
-                    if best is None or candidate < best:
-                        # tree paths may share a prefix, so the real cycle can
-                        # be shorter than the candidate bound; measure it
-                        cycle = _assemble_cycle(parent, x, y)
-                        if best is None or len(cycle) < best:
-                            best = len(cycle)
-                            best_cycle = cycle
-    if best is None:
-        raise Acyclic("graph has no cycle")
-    graph._cache["girth_cycle"] = (best, best_cycle)
-    return best, best_cycle
-
-
-def _assemble_cycle(parent, x, y) -> list[int]:
-    path_x = [x]
-    while parent[path_x[-1]] >= 0:
-        path_x.append(parent[path_x[-1]])
-    path_y = [y]
-    while parent[path_y[-1]] >= 0:
-        path_y.append(parent[path_y[-1]])
-    # strip the common tail above the lowest common ancestor
-    while len(path_x) > 1 and len(path_y) > 1 and path_x[-2] == path_y[-2]:
-        path_x.pop()
-        path_y.pop()
-    return path_x[:-1] + list(reversed(path_y))
+                    bound = dx + dist[y] + 1
+                    if best is None or bound < best:
+                        best = bound
+    graph._cache["girth"] = best
+    return best
 
 
 def shortest_cycle_through_edge(graph: Graph, u: int, v: int) -> list[int] | None:
@@ -254,10 +228,14 @@ def shortest_cycle_through_edge(graph: Graph, u: int, v: int) -> list[int] | Non
 # arcs and geodesics
 # ---------------------------------------------------------------------------
 
-def _arcs(graph: Graph, s: int):
-    """s-arcs in lexicographic order (depth-first over sorted neighbors)."""
+def _check_level(s: int) -> None:
     if s < 1:
         raise ValueError("s must be at least 1")
+
+
+def _arcs(graph: Graph, s: int):
+    """s-arcs in lexicographic order (depth-first over sorted neighbors)."""
+    _check_level(s)
     adjacency = graph.adjacency
     for u in range(graph.n):
         stack = [(u,)]
@@ -284,8 +262,7 @@ def first_arc(graph: Graph, s: int) -> tuple[int, ...] | None:
 
 def count_arcs(graph: Graph, s: int) -> int:
     """Number of s-arcs via dynamic programming on directed edges."""
-    if s < 1:
-        raise ValueError("s must be at least 1")
+    _check_level(s)
     counts = {(u, v): 1 for u in range(graph.n) for v in graph.adjacency[u]}
     for _ in range(s - 1):
         nxt = dict.fromkeys(counts, 0)
@@ -302,9 +279,11 @@ def _geodesics(graph: Graph, s: int):
 
     Descends the BFS level structure with backtracking: a branch can dead-end
     on a vertex with no neighbor in the next level, so greedy descent alone
-    would be wrong.
+    would be wrong.  There are none past the diameter.
     """
-    _check_geodesic_level(graph, s)
+    _check_level(s)
+    if s > diameter(graph):
+        return
     dist = distance_matrix(graph)
     adjacency = graph.adjacency
     for u in range(graph.n):
@@ -332,7 +311,9 @@ def first_geodesic(graph: Graph, s: int) -> tuple[int, ...] | None:
 
 
 def count_geodesics(graph: Graph, s: int) -> int:
-    _check_geodesic_level(graph, s)
+    _check_level(s)
+    if s > diameter(graph):
+        return 0
     dist = distance_matrix(graph)
     total = 0
     for u in range(graph.n):
@@ -347,14 +328,6 @@ def count_geodesics(graph: Graph, s: int) -> int:
             level = nxt
         total += sum(level.values())
     return total
-
-
-def _check_geodesic_level(graph: Graph, s: int) -> None:
-    if s < 1:
-        raise ValueError("s must be at least 1")
-    d = diameter(graph)  # raises Disconnected when appropriate
-    if s > d:
-        raise SExceedsDiameter(f"s={s} exceeds diameter {d}")
 
 
 # ---------------------------------------------------------------------------
@@ -718,9 +691,4 @@ def is_generalized_polygon(graph: Graph, d: int) -> bool:
         raise Disconnected("generalized polygons are connected")
     if bipartition(graph) is None:
         return False
-    if diameter(graph) != d:
-        return False
-    try:
-        return girth(graph) == 2 * d
-    except Acyclic:
-        return False
+    return diameter(graph) == d and girth(graph) == 2 * d

@@ -18,13 +18,11 @@ from . import graph as graphmod
 from . import perm as permmod
 from . import symmetry as symmod
 from .errors import (
-    Acyclic,
     CycleTooLong,
     NormalityFails,
     NotACycle,
     NTransitive,
     PreconditionUnverified,
-    SExceedsDiameter,
 )
 from .graph import Graph
 from .perm import PermGroup
@@ -38,7 +36,6 @@ class QuotientResult:
     group: PermGroup
     normal_subgroup: PermGroup
     orbit_partition: tuple[tuple[int, ...], ...]
-    block_of: tuple[int, ...]
     quotient: Graph
     induced: PermGroup
     kernel: PermGroup
@@ -66,13 +63,6 @@ class QuotientResult:
             "girth_pair": list(self.girth_pair),
             "multi_edge_pairs": self.multi_edge_pairs,
         }
-
-
-def _safe_girth(graph: Graph) -> int | None:
-    try:
-        return graphmod.girth(graph)
-    except Acyclic:
-        return None
 
 
 def normal_quotient(graph: Graph, group: PermGroup, normal_subgroup: PermGroup) -> QuotientResult:
@@ -116,12 +106,11 @@ def _build_quotient(graph: Graph, group: PermGroup, normal_subgroup: PermGroup) 
         group=group,
         normal_subgroup=normal_subgroup,
         orbit_partition=tuple(blocks),
-        block_of=tuple(block_of),
         quotient=quotient,
         induced=induced,
         kernel=kernel,
         is_cover=is_cover,
-        girth_pair=(_safe_girth(graph), _safe_girth(quotient)),
+        girth_pair=(graphmod.girth(graph), graphmod.girth(quotient)),
         multi_edge_pairs=multi,
     )
 
@@ -129,11 +118,7 @@ def _build_quotient(graph: Graph, group: PermGroup, normal_subgroup: PermGroup) 
 def _cached_geodesic_transitive(result: QuotientResult, s: int) -> bool:
     key = ("sgt", s)
     if key not in result._cache:
-        try:
-            value = symmod.is_s_geodesic_transitive(result.graph, result.group, s)
-        except SExceedsDiameter:
-            value = False
-        result._cache[key] = value
+        result._cache[key] = symmod.is_s_geodesic_transitive(result.graph, result.group, s)
     return result._cache[key]
 
 
@@ -377,7 +362,7 @@ def verify_reduction(graph: Graph, group: PermGroup, normal_subgroup: PermGroup,
     diam = graphmod.diameter(graph)
     if s > diam:
         raise PreconditionUnverified("s <= diameter", f"diameter {diam} < {s}")
-    g = _safe_girth(graph)
+    g = graphmod.girth(graph)
     if g not in (2 * s - 2, 2 * s - 1):
         raise PreconditionUnverified(
             "girth in {2s-2, 2s-1}",

@@ -335,16 +335,16 @@ def _level_transitive(group: PermGroup, path, i: int, total: int) -> bool:
 
 def is_s_arc_transitive(graph: Graph, group: PermGroup, s: int) -> bool:
     """G transitive on the s-arcs (decided by orbit-size arithmetic)."""
-    if s < 1:
-        raise ValueError("s must be at least 1")
     validate_automorphisms(graph, group)
     return _level_transitive(group, graphmod.first_arc(graph, s), s, graphmod.count_arcs(graph, s))
 
 
 def is_s_geodesic_transitive(graph: Graph, group: PermGroup, s: int) -> bool:
-    """G transitive on i-geodesics for every i <= s."""
+    """G transitive on i-geodesics for every i <= s; False past the diameter,
+    where there are no s-geodesics."""
     validate_automorphisms(graph, group)
-    graphmod._check_geodesic_level(graph, s)
+    if s > graphmod.diameter(graph):
+        return False
     path = graphmod.first_geodesic(graph, s)
     return all(
         _level_transitive(group, path, i, graphmod.count_geodesics(graph, i))

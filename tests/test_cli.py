@@ -37,6 +37,25 @@ def test_atlas_get_graph6_round_trip(capsys, petersen):
     assert G.graph6_decode(out.strip()).adjacency == petersen.adjacency
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("atlas", "list"),
+        ("analyze", "--atlas", "petersen"),
+        ("aut", "--atlas", "petersen"),
+        ("transitivity", "--atlas", "petersen"),
+        ("quotient", "--atlas", "foster", "--normal", "auto"),
+        ("verify", "paper"),
+    ],
+)
+def test_graph6_only_for_atlas_get(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--format", "graph6"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--format" in err and "graph6" in err
+
+
 def test_analyze_foster_row(capsys):
     code, out, _ = run(capsys, "analyze", "--atlas", "foster", "--format", "json")
     assert code == 0

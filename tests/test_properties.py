@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from geodex import graph as G
 from geodex import perm
 from geodex import symmetry as S
-from geodex.errors import Acyclic
 from geodex.oracles import (
     multiplication_closure_order,
     naive_diameter,
@@ -40,16 +39,7 @@ def permutation_lists(draw, max_degree=8, max_gens=3):
 @_settings
 @given(graphs(max_n=16))
 def test_girth_and_diameter_match_oracles(graph):
-    want = naive_girth(graph)
-    if want is None:
-        try:
-            G.girth(graph)
-            raised = False
-        except Acyclic:
-            raised = True
-        assert raised
-    else:
-        assert G.girth(graph) == want
+    assert G.girth(graph) == naive_girth(graph)
     if graph.connected:
         assert G.diameter(graph) == naive_diameter(graph)
 
@@ -66,10 +56,7 @@ def test_geodesics_are_arcs(graph, s):
     assert set(geos) <= arcs
     assert len(geos) == G.count_geodesics(graph, s)
     # under girth >= 2s every s-arc is an s-geodesic
-    try:
-        girth = G.girth(graph)
-    except Acyclic:
-        girth = None
+    girth = G.girth(graph)
     if girth is not None and girth >= 2 * s:
         assert set(geos) == arcs
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from geodex import graph as graphmod
 from geodex import perm
 from geodex import symmetry as S
-from geodex.atlas import atlas_get, pg2_incidence
+from geodex.atlas import atlas_get, atlas_list, pg2_incidence
 from geodex.errors import (
     Disconnected,
     GraphTooLarge,
@@ -17,7 +17,6 @@ from geodex.errors import (
     NotTransitive,
     NotVertexTransitive,
     PreconditionUnverified,
-    SExceedsDiameter,
     ValencyNotPrimePowerPlusOne,
 )
 from geodex.graph import build_graph, diameter, girth, lcf_decode
@@ -181,8 +180,15 @@ class TestGeodesicTransitivity:
         assert not S.is_s_arc_transitive(foster, foster_aut, 6)
 
     def test_s_beyond_diameter(self, petersen, petersen_aut):
-        with pytest.raises(SExceedsDiameter):
-            S.is_s_geodesic_transitive(petersen, petersen_aut, 3)
+        assert S.is_s_geodesic_transitive(petersen, petersen_aut, 3) is False
+
+    @pytest.mark.parametrize("name", atlas_list())
+    def test_no_geodesics_past_the_diameter(self, ctx, name):
+        graph, aut = ctx.graph(name), ctx.aut(name)
+        s = diameter(graph) + 1
+        assert S.is_s_geodesic_transitive(graph, aut, s) is False
+        assert graphmod.count_geodesics(graph, s) == 0
+        assert graphmod.first_geodesic(graph, s) is None
 
 
 class TestTransitivityDegrees:
