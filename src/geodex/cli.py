@@ -96,10 +96,10 @@ def _analyze_payload(name: str, graph: Graph) -> dict:
     payload["complete_multipartite"] = shape.complete_multipartite
     if graph.connected:
         payload["diameter"] = graphmod.diameter(graph)
-        payload["girth"] = graphmod.girth(graph)
-        if graph.is_regular():
-            array = graphmod.intersection_array(graph)
-            payload["intersection_array"] = str(array) if array else None
+    payload["girth"] = graphmod.girth(graph)
+    if graph.connected and graph.is_regular():
+        array = graphmod.intersection_array(graph)
+        payload["intersection_array"] = str(array) if array else None
     return payload
 
 

@@ -3,9 +3,13 @@ deciders for finite graphs with explicit permutation groups.
 
 The automorphism engine is a backtracking search over partial vertex maps,
 pruned by equitable-partition colors and full distance consistency against
-every mapped vertex.  Transitivity at level s is decided by orbit-size
-arithmetic (group order over tuple-stabilizer order against the total tuple
-count), never by listing tuple orbits.
+every mapped vertex.  The isomorphism test runs the same search from one root
+vertex to each target in its cell, but first individualizes both and refines
+them against one trace (McKay, *Practical graph isomorphism*, 1981): a target
+whose refinement differs at any round is refuted without a search, and a
+surviving one is searched under the refined colors.  Transitivity at level s
+is decided by orbit-size arithmetic (group order over tuple-stabilizer order
+against the total tuple count), never by listing tuple orbits.
 """
 
 from __future__ import annotations
@@ -35,23 +39,48 @@ AUTOMORPHISM_VERTEX_CAP = 512
 # colorings
 # ---------------------------------------------------------------------------
 
-def _refine(adjacency, colors):
+def _refine(adjacency, colors, trace=None):
     """Equitable refinement with canonical (label-independent) color ids.
 
     From one cell (``[0] * n``) the first pass splits the vertices by degree.
+    Starting colors may be any sortable values, such as (color, distance)
+    pairs.
+
+    With a ``trace`` list, every round leaves a label-independent record:
+    round 0 is the sorted starting colors, and each later round its sorted
+    distinct signatures, which name the new color ids.  A round the list
+    does not hold yet is appended to it; a round it holds is compared, and the
+    refinement returns None at the first round that differs.  Refining two
+    colorings against one trace thus either refutes every isomorphism that
+    maps one coloring onto the other, or gives them corresponding color ids.
     """
     n = len(adjacency)
+    if trace is not None and not _traced(trace, 0, sorted(colors)):
+        return None
     ncolors = len(set(colors))
+    rounds = 0
     while True:
         sigs = [
             (colors[u], tuple(sorted(colors[w] for w in adjacency[u])))
             for u in range(n)
         ]
-        ids = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        keys = sorted(set(sigs))
+        ids = {sig: i for i, sig in enumerate(keys)}
         colors = [ids[sig] for sig in sigs]
+        rounds += 1
+        if trace is not None and not _traced(trace, rounds, keys):
+            return None
         if len(ids) == ncolors:
             return colors
         ncolors = len(ids)
+
+
+def _traced(trace, i, record) -> bool:
+    """Append round i's record to the trace, or compare it with the one held."""
+    if i < len(trace):
+        return trace[i] == record
+    trace.append(record)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +244,13 @@ def automorphism_group(graph: Graph) -> PermGroup:
 def are_isomorphic(g1: Graph, g2: Graph):
     """A vertex bijection g1 -> g2 (as an image tuple), or None.
 
+    A root of g1 in a smallest degree-level cell is refined once from its
+    distances, and its trace recorded; each target t of g2 in that cell is
+    refined from its own distances against the trace and skipped at the first
+    round that differs, since no isomorphism maps the root to it.  Refined
+    colors only rule out maps that are no isomorphism, so the search returns
+    the same first map it would find from the degree-level colors.
+
     Works for disconnected inputs by matching components.  Raises
     GraphTooLarge when either graph has more than AUTOMORPHISM_VERTEX_CAP
     vertices.
@@ -244,8 +280,16 @@ def are_isomorphic(g1: Graph, g2: Graph):
         cell_of.setdefault(c, []).append(t)
     # branch on a smallest cell for the fewest root candidates
     root = min(range(g1.n), key=lambda u: (len(cell_of.get(colors1[u], ())), colors1[u], u))
+    # individualizing a vertex forces the distance partition from it, so
+    # seeding with distances reaches the same stable partition in fewer rounds
+    dist1, dist2 = graphmod.distance_matrix(g1), graphmod.distance_matrix(g2)
+    trace: list = []
+    root_colors = _refine(g1.adjacency, list(zip(colors1, dist1[root])), trace)
     for t in cell_of.get(colors1[root], ()):
-        found = _search_map(g1, g2, colors1, colors2, [(root, t)])
+        target_colors = _refine(g2.adjacency, list(zip(colors2, dist2[t])), trace)
+        if target_colors is None:
+            continue  # refuted: no isomorphism maps root to t
+        found = _search_map(g1, g2, root_colors, target_colors, [(root, t)])
         if found is not None:
             return found
     return None

@@ -89,6 +89,24 @@ def test_analyze_graph6_file(capsys, tmp_path, petersen):
     assert json.loads(out)["girth"] == 5
 
 
+@pytest.mark.parametrize(
+    "edges,girth",
+    [
+        ([[0, 1], [1, 2], [2, 0]], 3),  # a triangle and an isolated vertex
+        ([[0, 1], [2, 3]], None),  # a forest of two edges
+    ],
+)
+def test_analyze_girth_of_disconnected_graph(capsys, tmp_path, edges, girth):
+    path = tmp_path / "disconnected.json"
+    path.write_text(json.dumps({"n": 4, "edges": edges}))
+    code, out, _ = run(capsys, "analyze", "--graph", str(path), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["connected"] is False
+    assert payload["girth"] == girth
+    assert "diameter" not in payload and "intersection_array" not in payload
+
+
 def test_aut_json(capsys):
     code, out, _ = run(capsys, "aut", "--atlas", "petersen", "--format", "json")
     assert code == 0

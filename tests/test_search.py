@@ -158,19 +158,147 @@ def test_one_extension_order_per_level(order_builds, monkeypatch):
     assert len(set(searches)) == len(order_builds) < len(searches)
 
 
-def test_one_extension_order_per_isomorphism_test(order_builds):
+def test_one_extension_order_per_isomorphism_test(order_builds, monkeypatch):
+    searches = []
+    original = S._search_map
+
+    def counted(g1, g2, colors1, colors2, seeds):
+        searches.append(seeds)
+        return original(g1, g2, colors1, colors2, seeds)
+
+    monkeypatch.setattr(S, "_search_map", counted)
     foster = atlas_get("foster").graph
     images = list(range(foster.n))
     random.Random(90).shuffle(images)
     relabeled = build_graph(foster.n, [(images[u], images[v]) for u, v in foster.edges()])
-    # swapping two edges makes a 9-cycle, so every root target fails
+    assert S.are_isomorphic(atlas_get("foster").graph, relabeled) is not None
+    assert len(order_builds) == 1
+    # swapping two edges makes a 9-cycle, so refinement refutes every root
+    # target and nothing is searched
     swapped = build_graph(foster.n, set(foster.edges()) - {(0, 1), (2, 3)} | {(0, 2), (1, 3)})
     assert graphmod.girth(swapped) == 9
-    for other, isomorphic in ((relabeled, True), (swapped, False)):
-        order_builds.clear()
-        found = S.are_isomorphic(atlas_get("foster").graph, other)
-        assert (found is not None) == isomorphic
-        assert len(order_builds) == 1
+    searches.clear()
+    assert S.are_isomorphic(atlas_get("foster").graph, swapped) is None
+    assert searches == []
+
+
+# ---------------------------------------------------------------------------
+# root targets refuted by refinement
+# ---------------------------------------------------------------------------
+
+def _reference_are_isomorphic(g1, g2):
+    """The isomorphism test of a connected g1 as it was before refinement
+    refuted root targets: every target in the root's cell is searched, with
+    the degree-level colors."""
+    if g1.n != g2.n or g1.m != g2.m or not g2.connected:
+        return None
+    if sorted(g1.degrees()) != sorted(g2.degrees()):
+        return None
+    colors1 = S._refine(g1.adjacency, [0] * g1.n)
+    colors2 = S._refine(g2.adjacency, [0] * g2.n)
+    if sorted(colors1) != sorted(colors2):
+        return None
+    cell_of: dict[int, list[int]] = {}
+    for t, c in enumerate(colors2):
+        cell_of.setdefault(c, []).append(t)
+    root = min(range(g1.n), key=lambda u: (len(cell_of.get(colors1[u], ())), colors1[u], u))
+    for t in cell_of.get(colors1[root], ()):
+        found = _reference_search_map(g1, g2, colors1, colors2, [(root, t)])
+        if found is not None:
+            return found
+    return None
+
+
+def _relabel(graph, images):
+    return build_graph(graph.n, [(images[u], images[v]) for u, v in graph.edges()])
+
+
+def _swap(graph, a, b, c, d):
+    """Edges {a,b} and {c,d} replaced by {a,c} and {b,d}, which keeps every
+    degree, or None when that is no simple graph with the same edge count."""
+    if len({a, b, c, d}) < 4 or graph.has_edge(a, c) or graph.has_edge(b, d):
+        return None
+    edges = set(graph.edges()) - {(min(a, b), max(a, b)), (min(c, d), max(c, d))}
+    return build_graph(graph.n, edges | {(min(a, c), max(a, c)), (min(b, d), max(b, d))})
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(connected_graphs(max_n=12), st.data())
+def test_pruned_root_loop_matches_reference(graph, data):
+    n = graph.n
+    relabeled = _relabel(graph, data.draw(st.permutations(range(n))))
+    edges = sorted(graph.edges())
+    others = [relabeled]
+    if len(edges) >= 2:
+        pair = st.lists(st.sampled_from(edges), min_size=2, max_size=2, unique=True)
+        (a, b), (c, d) = data.draw(pair)
+        if data.draw(st.booleans()):
+            c, d = d, c
+        swapped = _swap(graph, a, b, c, d)
+        if swapped is not None:
+            others.append(_relabel(swapped, data.draw(st.permutations(range(n)))))
+    for other in others:
+        assert S.are_isomorphic(graph, other) == _reference_are_isomorphic(graph, other)
+
+
+@pytest.mark.parametrize("name", ["petersen", "heawood", "desargues", "tutte-coxeter"])
+def test_pruned_root_loop_matches_reference_on_catalog(name):
+    rng = random.Random(name)
+    base = atlas_get(name).graph
+    edges = sorted(base.edges())
+    for _ in range(2):
+        images = list(range(base.n))
+        rng.shuffle(images)
+        swapped = None
+        while swapped is None:
+            (a, b), (c, d) = rng.sample(edges, 2)
+            swapped = _swap(base, a, b, c, d)
+        for other in (_relabel(base, images), _relabel(swapped, images)):
+            assert S.are_isomorphic(base, other) == _reference_are_isomorphic(base, other)
+
+
+def _distance_seed(graph, colors, v):
+    return list(zip(colors, graphmod.distance_matrix(graph)[v]))
+
+
+def _partition(colors):
+    cells: dict = {}
+    for u, c in enumerate(colors):
+        cells.setdefault(c, set()).add(u)
+    return {frozenset(cell) for cell in cells.values()}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(connected_graphs(max_n=12), st.data())
+def test_traced_refinement_is_label_independent(graph, data):
+    n = graph.n
+    images = data.draw(st.permutations(range(n)))
+    relabeled = _relabel(graph, images)
+    v = data.draw(st.integers(0, n - 1))
+    base = S._refine(graph.adjacency, [0] * n)
+    seed = _distance_seed(graph, base, v)
+
+    trace: list = []
+    colors = S._refine(graph.adjacency, seed, trace)
+    # a trace changes nothing about the colors it records
+    assert colors == S._refine(graph.adjacency, seed)
+
+    # sigma(v) in sigma(g) leaves the same trace, with corresponding colors
+    relabeled_base = S._refine(relabeled.adjacency, [0] * n)
+    relabeled_seed = _distance_seed(relabeled, relabeled_base, images[v])
+    relabeled_trace: list = []
+    relabeled_colors = S._refine(relabeled.adjacency, relabeled_seed, relabeled_trace)
+    assert relabeled_trace == trace
+    assert all(relabeled_colors[images[u]] == colors[u] for u in range(n))
+    # refined against the recorded trace, it passes and leaves the trace as it was
+    recorded = list(trace)
+    assert S._refine(relabeled.adjacency, relabeled_seed, trace) == relabeled_colors
+    assert trace == recorded
+
+    # distances reach the partition of individualizing v and refining
+    individualized = list(base)
+    individualized[v] = n
+    assert _partition(colors) == _partition(S._refine(graph.adjacency, individualized))
 
 
 # ---------------------------------------------------------------------------
