@@ -672,8 +672,8 @@ def sparse6_decode(text: str) -> Graph:
             break
         if x > v:
             v = x
-        elif x != v:
-            edges.append((x, v))
+        else:
+            edges.append((x, v))  # x == v is a loop: build_graph raises LoopEdge
     return build_graph(n, edges)
 
 

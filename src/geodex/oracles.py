@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive: a vertex-by-vertex permutation
 backtrack that checks only adjacency among mapped vertices, DFS cycle scans,
-Floyd-Warshall distances, and plain multiplication closure (optionally
-abandoned once it exceeds a size cap).  These implementations share no code
-paths with the production engines they check.
+Floyd-Warshall distances, plain multiplication closure (optionally
+abandoned once it exceeds a size cap), and conjugation by every element of a
+listed group.  These implementations share no code paths with the production
+engines they check.
 """
 
 from __future__ import annotations
@@ -126,14 +127,9 @@ def geodesics_by_filter(graph: Graph, s: int) -> list[tuple[int, ...]]:
     return [arc for arc in recursive_arcs(graph, s) if dist[arc[0]][arc[-1]] == s]
 
 
-def multiplication_closure_order(generators, cap: int | None = None) -> int | None:
-    """Group order by closing the generator set under multiplication.
-
-    With ``cap``, gives up and returns None as soon as a frontier round leaves
-    more than ``cap`` elements, so the order is known to exceed ``cap``.
-    """
-    gens = [tuple(g.images) for g in generators]
-    n = len(gens[0]) if gens else 0
+def _closure(gens, n: int, cap: int | None = None) -> set | None:
+    """Every product of the image tuples ``gens`` on n points, by breadth-first
+    multiplication; None as soon as a frontier round leaves more than ``cap``."""
     elements = {tuple(range(n))}
     frontier = list(elements)
     while frontier:
@@ -147,7 +143,58 @@ def multiplication_closure_order(generators, cap: int | None = None) -> int | No
         if cap is not None and len(elements) > cap:
             return None
         frontier = fresh
-    return len(elements)
+    return elements
+
+
+def _generated(elements, n: int) -> set:
+    """The subgroup generated by ``elements``: the closure of those that each
+    fall outside the closure of the ones kept before them."""
+    kept = []
+    closure = {tuple(range(n))}
+    for x in elements:
+        if x not in closure:
+            kept.append(x)
+            closure = _closure(kept, n)
+    return closure
+
+
+def multiplication_closure_order(generators, cap: int | None = None) -> int | None:
+    """Group order by closing the generator set under multiplication.
+
+    With ``cap``, gives up and returns None as soon as a frontier round leaves
+    more than ``cap`` elements, so the order is known to exceed ``cap``.
+    """
+    gens = [tuple(g.images) for g in generators]
+    elements = _closure(gens, len(gens[0]) if gens else 0, cap)
+    return None if elements is None else len(elements)
+
+
+def minimal_normal_subgroups(generators, cap: int) -> list[frozenset] | None:
+    """The minimal normal subgroups as sets of image tuples, smallest first;
+    None when the group has more than ``cap`` elements.
+
+    The group is listed by multiplication closure.  The class of x is
+    {g^-1 x g} over every element g, and its normal closure is the subgroup
+    it generates.  The inclusion-minimal closures of nontrivial classes are
+    returned.
+    """
+    gens = [tuple(g.images) for g in generators]
+    n = len(gens[0]) if gens else 0
+    elements = _closure(gens, n, cap)
+    if elements is None:
+        return None
+    identity = tuple(range(n))
+    pairs = [(g, tuple(sorted(range(n), key=g.__getitem__))) for g in elements]
+    unseen = set(elements) - {identity}
+    closures = set()
+    while unseen:
+        x = min(unseen)
+        # apply g^-1, then x, then g
+        cls = {tuple(g[x[g_inv[i]]] for i in range(n)) for g, g_inv in pairs}
+        unseen -= cls
+        closures.add(frozenset(_generated(sorted(cls), n)))
+    minimal = [c for c in closures if not any(other < c for other in closures)]
+    return sorted(minimal, key=lambda c: (len(c), sorted(c)))
 
 
 def all_labeled_connected_graphs(max_n: int):

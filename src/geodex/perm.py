@@ -16,6 +16,19 @@ through ``operator.itemgetter``.  A chain built with base hint (p0, ..., pk)
 holds, in its levels from j on, a chain for the stabilizer of p0..p(j-1); so
 one build of a pointwise stabilizer memoizes, per group, the stabilizer of
 every prefix of its de-duplicated point tuple.
+
+A chain also records its *walk list*: the generators that enlarged the group
+when they were added, in order.  It generates the same group, and on an
+automorphism group found by search it is two or three of seven to nine
+generators.  Every question whose answer does not depend on the generating
+set walks it: orbits, abelianness, conjugacy classes, a normality test and
+the chain of a pointwise stabilizer.  What returns generators (a group, a
+normal closure, a restriction, an induced action) keeps the caller's list.
+
+Minimal normal subgroups are normal closures of class representatives of
+prime order only: by Cauchy's theorem each minimal normal subgroup holds an
+element of prime order, and is the normal closure of any of its nontrivial
+elements.
 """
 
 from __future__ import annotations
@@ -214,6 +227,7 @@ class _Chain:
         self.degree = degree
         self.identity = tuple(range(degree))
         self.levels = []
+        self.walk = []  # the generators that enlarged the group, in order
         for b in base_hint:
             if not 0 <= b < degree:
                 raise PointOutOfRange(f"base point {b} outside 0..{degree - 1}")
@@ -246,11 +260,14 @@ class _Chain:
     def gens_from_level(self, k: int) -> list:
         return [g for lvl in self.levels[k:] for g in lvl.gens]
 
-    def add_generator(self, g) -> None:
+    def add_generator(self, g) -> bool:
+        """Grow the chain by g; False (and no change) when g is already in it."""
         if g == self.identity or self.contains(g):
-            return
+            return False
+        self.walk.append(g)
         self._append(g, 0)
         self._reestablish()
+        return True
 
     def _append(self, g, k: int) -> None:
         if k == len(self.levels):
@@ -356,6 +373,13 @@ class PermGroup:
     def basic_orbit_sizes(self) -> tuple[int, ...]:
         return tuple(len(lvl.transversal) for lvl in self._chain.levels)
 
+    def walk(self) -> list[tuple[int, ...]]:
+        """Image tuples of the generators that each enlarged the group made by
+        those before them: a subsequence of the generators, making the same
+        group.  (A stabilizer read off another group's chain walks all its
+        strong generators.)"""
+        return self._chain.walk
+
     # -- element access ----------------------------------------------------
 
     def elements(self) -> list[Permutation]:
@@ -384,14 +408,14 @@ class PermGroup:
     def orbit(self, point: int) -> frozenset[int]:
         if not 0 <= point < self.degree:
             raise PointOutOfRange(f"point {point} outside 0..{self.degree - 1}")
-        return frozenset(_orbit([g.images for g in self.generators], (point,)))
+        return frozenset(_orbit(self.walk(), (point,)))
 
     def is_transitive(self) -> bool:
         """True iff the points 0..degree-1 form one orbit."""
         return len(self.orbit(0)) == self.degree
 
     def is_abelian(self) -> bool:
-        gens = [g.images for g in self.generators]
+        gens = self.walk()
         return all(
             _compose(a, b) == _compose(b, a)
             for i, a in enumerate(gens)
@@ -460,7 +484,7 @@ def _group_from_chain(degree: int, raw_gens, chain: _Chain) -> PermGroup:
 
 def orbits(group: PermGroup) -> list[tuple[int, ...]]:
     """Orbit partition of all points, sorted by minimum."""
-    gens = [g.images for g in group.generators]
+    gens = group.walk()
     seen = set()
     cells = []
     for p in range(group.degree):
@@ -489,14 +513,16 @@ def pointwise_stabilizer(group: PermGroup, points) -> PermGroup:
     key = ("stabilizer", tuple(pts))
     if key in group._cache:
         return group._cache[key]
-    chain = _build_chain(group.degree, [g.images for g in group.generators], base_hint=pts)
+    # the other generators would be sifted into the chain and skipped
+    chain = _build_chain(group.degree, group.walk(), base_hint=pts)
     for j in range(1, len(pts) + 1):
         prefix = ("stabilizer", tuple(pts[:j]))
         if prefix not in group._cache:
             # the chain suffix below the first j base points is itself a chain
             sub = _Chain(group.degree)
             sub.levels = chain.levels[j:]
-            group._cache[prefix] = _group_from_chain(group.degree, chain.gens_from_level(j), sub)
+            sub.walk = chain.gens_from_level(j)
+            group._cache[prefix] = _group_from_chain(group.degree, sub.walk, sub)
     return group._cache[key]
 
 
@@ -519,22 +545,25 @@ def normal_test_and_closure(group: PermGroup, subgroup) -> tuple[bool, PermGroup
         if not group.contains_raw(g):
             raise NotASubgroup(f"element {Permutation(g).cycle_string()} is not in G")
 
-    g_gens = [(g.images, _inverse(g.images)) for g in group.generators]
     # one chain: H's chain tests normality and, unless H is normal (then it is
     # already the closure's), grows into the closure's
     chain = _build_chain(group.degree, h_gens)
-    if all(chain.contains(_conjugate(h, g, gi)) for h in h_gens for g, gi in g_gens):
+    g_walk = [(g, _inverse(g)) for g in group.walk()]
+    if all(chain.contains(_conjugate(h, g, gi)) for h in chain.walk for g, gi in g_walk):
         return True, _group_from_chain(group.degree, h_gens, chain)
 
+    # the closure's generators are printed (a quasiprimitivity witness, a
+    # minimal normal subgroup), so they are the conjugates by every generator
+    # of G in order, not by the walk list
+    g_gens = [(g.images, _inverse(g.images)) for g in group.generators]
     closure_gens = list(h_gens)
     queue = list(h_gens)
     while queue:
         x = queue.pop()
         for g, gi in g_gens:
             c = _conjugate(x, g, gi)
-            if not chain.contains(c):
+            if chain.add_generator(c):
                 closure_gens.append(c)
-                chain.add_generator(c)
                 queue.append(c)
     return False, _group_from_chain(group.degree, closure_gens, chain)
 
@@ -544,7 +573,7 @@ def conjugacy_class_representatives(group: PermGroup) -> list[Permutation]:
     if "class_reps" in group._cache:
         return group._cache["class_reps"]
     elements = group.raw_elements()  # GroupTooLarge above ENUMERATION_CAP
-    gens = [(g.images, _inverse(g.images)) for g in group.generators]
+    gens = [(g, _inverse(g)) for g in group.walk()]
     unseen = set(elements)
     reps = []
     for e in elements:  # deterministic: enumeration order
@@ -575,12 +604,20 @@ def same_group(a: PermGroup, b: PermGroup) -> bool:
     return a.order() == b.order() and is_subgroup_of(a, b)
 
 
+def _is_prime(k: int) -> bool:
+    return k > 1 and all(k % d for d in range(2, math.isqrt(k) + 1))
+
+
 def normal_structure(group: PermGroup) -> tuple[list[PermGroup], PermGroup]:
     """(minimal normal subgroups, socle).
 
-    Minimal normal subgroups are found as inclusion-minimal normal closures
-    of conjugacy-class representatives; every minimal normal subgroup is the
-    normal closure of each of its nontrivial elements, so none is missed.
+    Every minimal normal subgroup M holds an element of prime order (Cauchy),
+    so a conjugate of it among the class representatives, and M is the
+    normal closure of each of its nontrivial elements: the minimal normal
+    subgroups are the inclusion-minimal closures of prime-order
+    representatives.  Each M is named by the closure of its first
+    nontrivial representative in listing order, prime or not, so its
+    generator list does not depend on which classes were closed.
     """
     if "normal_structure" in group._cache:
         return group._cache["normal_structure"]
@@ -589,20 +626,22 @@ def normal_structure(group: PermGroup) -> tuple[list[PermGroup], PermGroup]:
         group._cache["normal_structure"] = result
         return result
 
-    closures: list[PermGroup] = []
-    for rep in conjugacy_class_representatives(group):
-        if rep.is_identity():
+    reps = conjugacy_class_representatives(group)
+    closures: list[tuple[Permutation, PermGroup]] = []
+    for rep in reps:
+        if not _is_prime(rep.order()):
             continue
         _, closure = normal_test_and_closure(group, [rep])
-        if not any(same_group(closure, c) for c in closures):
-            closures.append(closure)
-    minimal = [
-        c
-        for c in closures
-        if not any(
-            other.order() < c.order() and is_subgroup_of(other, c) for other in closures
-        )
-    ]
+        if not any(same_group(closure, c) for _, c in closures):
+            closures.append((rep, closure))
+    minimal = []
+    for rep, c in closures:
+        if any(other.order() < c.order() and is_subgroup_of(other, c) for _, other in closures):
+            continue
+        first = next(r for r in reps if not r.is_identity() and c.contains_raw(r.images))
+        if first != rep:
+            _, c = normal_test_and_closure(group, [first])
+        minimal.append(c)
     minimal.sort(key=lambda g: (g.order(), tuple(p.images for p in g.generators)))
     socle_gens = [g for m in minimal for g in m.generators]
     socle = build_group(socle_gens, degree=group.degree)

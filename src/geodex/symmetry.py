@@ -473,7 +473,7 @@ def transitivity_degrees(graph: Graph, group: PermGroup) -> TransitivityReport:
 
 def minimal_block_system(group: PermGroup, alpha: int, beta: int):
     """Finest G-congruence merging alpha and beta (as a block list)."""
-    gens = [g.images for g in group.generators]
+    gens = group.walk()
     parent = list(range(group.degree))
 
     def find(x: int) -> int:

@@ -101,3 +101,40 @@ def test_capped_closure_is_none_exactly_above_the_cap(gens, cap):
     assert oracles.multiplication_closure_order(gens, cap) == (None if full > cap else full)
     assert oracles.multiplication_closure_order(gens, full) == full
     assert oracles.multiplication_closure_order(gens, full - 1) is None
+
+
+def _assert_normal_structure_matches_oracle(group):
+    from geodex import perm
+
+    want = oracles.minimal_normal_subgroups(group.generators, 10**4)
+    minimal, socle = perm.normal_structure(group)
+    assert [m.order() for m in minimal] == [len(m) for m in want]
+    assert {frozenset(m.raw_elements()) for m in minimal} == set(want)
+    assert socle.order() == len(oracles._generated(sorted(set().union(*want)), group.degree))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_generator_sets())
+def test_minimal_normal_subgroups_against_the_library(gens):
+    from geodex.perm import build_group
+
+    group = build_group(gens, degree=gens[0].degree if gens else 1)
+    _assert_normal_structure_matches_oracle(group)
+
+
+@pytest.mark.parametrize("name", ["K3,3", "C6", "C8", "K4,4", "heawood"])
+def test_minimal_normal_subgroups_of_aut_and_its_biparts(ctx, name):
+    from geodex import perm
+    from geodex.graph import bipartition
+
+    group = ctx.aut(name)
+    _assert_normal_structure_matches_oracle(group)
+    _, g_plus = perm.induced_action(group, list(bipartition(ctx.graph(name))))
+    for part in bipartition(ctx.graph(name)):
+        _assert_normal_structure_matches_oracle(perm.restriction(g_plus, part)[0])
+
+
+def test_minimal_normal_subgroups_above_the_cap():
+    s5 = [Permutation((1, 2, 3, 4, 0)), Permutation((1, 0, 2, 3, 4))]
+    assert oracles.minimal_normal_subgroups(s5, 119) is None
+    assert [len(m) for m in oracles.minimal_normal_subgroups(s5, 120)] == [60]

@@ -354,6 +354,213 @@ class TestNormalStructure:
             assert closure.order() == want
 
 
+# The class walk and normal structure as they were before the walk list and
+# the prime-order closures: every element is conjugated by every generator,
+# and every nontrivial class representative is closed.  Their answers must
+# match the library's byte for byte.
+
+def _reference_class_reps(group):
+    elements = group.raw_elements()
+    gens = [(g.images, perm._inverse(g.images)) for g in group.generators]
+    unseen = set(elements)
+    reps = []
+    for e in elements:
+        if e not in unseen:
+            continue
+        cls = {e}
+        queue = [e]
+        while queue:
+            x = queue.pop()
+            for g, gi in gens:
+                y = perm._conjugate(x, g, gi)
+                if y not in cls:
+                    cls.add(y)
+                    queue.append(y)
+        unseen -= cls
+        reps.append(min(cls))
+    return reps
+
+
+def _reference_closure(group, x):
+    gens = [(g.images, perm._inverse(g.images)) for g in group.generators]
+    closure = [x]
+    chain = perm._build_chain(group.degree, closure)
+    queue = [x]
+    while queue:
+        y = queue.pop()
+        for g, gi in gens:
+            c = perm._conjugate(y, g, gi)
+            if not chain.contains(c):
+                closure.append(c)
+                chain.add_generator(c)
+                queue.append(c)
+    return perm._group_from_chain(group.degree, closure, chain)
+
+
+def _reference_normal_structure(group):
+    """(class reps, minimal normal generator lists, socle generators)."""
+    reps = _reference_class_reps(group)
+    identity = tuple(range(group.degree))
+    closures = []
+    for rep in reps:
+        if rep == identity:
+            continue
+        closure = _reference_closure(group, rep)
+        if not any(perm.same_group(closure, c) for c in closures):
+            closures.append(closure)
+    minimal = [
+        c
+        for c in closures
+        if not any(o.order() < c.order() and perm.is_subgroup_of(o, c) for o in closures)
+    ]
+    minimal.sort(key=lambda g: (g.order(), tuple(p.images for p in g.generators)))
+    socle = [p.images for m in minimal for p in m.generators]
+    return reps, [[p.images for p in m.generators] for m in minimal], socle
+
+
+def _library_normal_structure(group):
+    reps = [r.images for r in perm.conjugacy_class_representatives(group)]
+    minimal, socle = perm.normal_structure(group)
+    return reps, [[p.images for p in m.generators] for m in minimal], [
+        p.images for p in socle.generators
+    ]
+
+
+@st.composite
+def generator_sets(draw, max_degree=8):
+    """Generator lists of degree <= max_degree; a permutation may move only a
+    prefix of the points, so that small and intransitive groups are common."""
+    n = draw(st.integers(min_value=1, max_value=max_degree))
+    gens = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        k = draw(st.integers(min_value=1, max_value=n))
+        moved = tuple(draw(st.permutations(range(k))))
+        gens.append(Permutation(moved + tuple(range(k, n))))
+    return n, gens
+
+
+def _catalog_groups(ctx):
+    """Aut of every catalog graph, and the bipart restrictions of its G+."""
+    from geodex.atlas import atlas_list
+    from geodex.graph import bipartition
+
+    for name in atlas_list():
+        group = ctx.aut(name)
+        yield name, group
+        parts = bipartition(ctx.graph(name))
+        if parts is not None:
+            _, g_plus = perm.induced_action(group, list(parts))
+            for i, part in enumerate(parts):
+                yield f"{name} bipart {i}", perm.restriction(g_plus, part)[0]
+
+
+class TestWalkList:
+    """The walk list: generators that each enlarged the group, in order."""
+
+    @staticmethod
+    def _check(group):
+        walk = group.walk()
+        gens = iter(g.images for g in group.generators)
+        assert all(w in gens for w in walk)  # a subsequence
+        closure = [Permutation(w) for w in walk]
+        assert multiplication_closure_order(closure) == group.order()
+        for i in range(len(walk)):
+            assert multiplication_closure_order(closure[: i + 1]) > (
+                multiplication_closure_order(closure[:i]) if i else 1
+            )
+
+    @settings(max_examples=120, deadline=None)
+    @given(generator_sets())
+    def test_subsequence_generating_the_group(self, case):
+        n, gens = case
+        group = build_group(gens, degree=n)
+        if group.order() <= 2 * 10**4:
+            self._check(group)
+
+    def test_normal_closures(self):
+        s5 = build_group([cyc(5, (0, 1, 2, 3, 4)), cyc(5, (0, 1))])
+        for seed in (cyc(5, (0, 1)), cyc(5, (0, 1, 2)), cyc(5, (0, 1), (2, 3))):
+            _, closure = perm.normal_test_and_closure(s5, [seed, seed])
+            self._check(closure)
+
+    def test_catalog_walk_lengths(self, ctx):
+        # Foster 7 -> 2, Biggs-Smith 8 -> 3, Tutte-Coxeter 7 -> 2, hexagon-q2 9 -> 2
+        lengths = {
+            name: (len(ctx.aut(name).generators), len(ctx.aut(name).walk()))
+            for name in ("foster", "biggs-smith", "tutte-coxeter", "hexagon-q2")
+        }
+        assert lengths == {
+            "foster": (7, 2),
+            "biggs-smith": (8, 3),
+            "tutte-coxeter": (7, 2),
+            "hexagon-q2": (9, 2),
+        }
+        self._check(ctx.aut("biggs-smith"))
+
+
+class TestNormalStructureReference:
+    """The class walk and the prime-order closures against the reference."""
+
+    # PSL(2,7) and A6, whose first nontrivial class representatives have
+    # composite order: their minimal normal subgroup is renamed
+    @settings(max_examples=150, deadline=None)
+    @given(generator_sets())
+    @example((7, [Permutation((0, 4, 1, 6, 5, 2, 3)), Permutation((3, 2, 6, 4, 0, 5, 1))]))
+    @example((6, [Permutation((0, 1, 4, 2, 3, 5)), Permutation((1, 2, 5, 4, 3, 0))]))
+    def test_random_groups(self, case):
+        n, gens = case
+        group = build_group(gens, degree=n)
+        if group.order() <= 2 * 10**4:
+            assert _library_normal_structure(group) == _reference_normal_structure(group)
+
+    def test_catalog_groups(self, ctx):
+        for name, group in _catalog_groups(ctx):
+            fresh = build_group(group.generators)
+            want = _reference_normal_structure(fresh)
+            assert _library_normal_structure(fresh) == want, name
+
+    def test_renaming_keeps_the_first_class_in_listing_order(self, ctx):
+        # on Heawood's first bipart, PSL(2,7)'s first nontrivial class
+        # representative has composite order, so its closure is recomputed
+        group = dict(_catalog_groups(ctx))["heawood bipart 0"]
+        reps = perm.conjugacy_class_representatives(group)
+        assert not perm._is_prime(next(r for r in reps if not r.is_identity()).order())
+        assert _library_normal_structure(group) == _reference_normal_structure(group)
+
+    def test_foster_work(self, foster_aut, chain_builds, monkeypatch):
+        chain_builds.clear()
+        group = build_group(foster_aut.generators)
+        conjugations = []
+        original = perm._conjugate
+
+        def counted(x, g, gi):
+            conjugations.append(x)
+            return original(x, g, gi)
+
+        monkeypatch.setattr(perm, "_conjugate", counted)
+        reps = perm.conjugacy_class_representatives(group)
+        # each element is conjugated once by each entry of the walk list
+        assert len(conjugations) == group.order() * len(group.walk()) == 4320 * 2
+        assert len(chain_builds) == 1  # the walk list cost no second build
+        monkeypatch.setattr(perm, "_conjugate", original)
+
+        closures = []
+        closure_fn = perm.normal_test_and_closure
+
+        def counted_closure(g, sub):
+            closures.append(sub)
+            return closure_fn(g, sub)
+
+        monkeypatch.setattr(perm, "normal_test_and_closure", counted_closure)
+        minimal, _ = perm.normal_structure(group)
+        # the 6 prime-order representatives of 19 nontrivial ones, and no
+        # renaming: Foster's first class in its Z3 has order 3
+        primes = [r for r in reps if perm._is_prime(r.order())]
+        assert len(reps) - 1 == 19
+        assert [s[0] for s in closures] == primes and len(primes) == 6
+        assert [m.order() for m in minimal] == [3]
+
+
 class TestSemiregular:
     def test_regular_cyclic(self):
         c5 = build_group([cyc(5, (0, 1, 2, 3, 4))])
