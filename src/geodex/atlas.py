@@ -553,7 +553,7 @@ def _load_data_file(filename: str, keys: tuple[str, ...]) -> dict:
         path = resources.files("geodex.data").joinpath(filename)
     try:
         data = json.loads(path.read_text("utf-8"))
-    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except (OSError, ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise BadInputFile(f"cannot read {path}: {exc}") from exc
     if not isinstance(data, dict) or any(key not in data for key in keys):
         raise BadInputFile(f"{path}: expected a JSON object with keys {', '.join(keys)}")

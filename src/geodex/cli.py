@@ -47,7 +47,7 @@ def _load_graph_file(path: str) -> Graph:
             offsets, repeat = graphmod.lcf_parse(stripped)
             return graphmod.lcf_decode(offsets, repeat)
         return graphmod.decode((stripped.splitlines() or [""])[0])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise _malformed(path, exc) from exc
 
 
@@ -62,7 +62,7 @@ def _load_group_file(path: str) -> PermGroup:
     text = _read_file(path)
     try:
         return permmod.group_from_json(json.loads(text))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise _malformed(path, exc) from exc
 
 

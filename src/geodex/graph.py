@@ -127,17 +127,21 @@ def distances(graph: Graph, u: int) -> tuple[int, ...]:
 
 
 def _distance_row(graph: Graph, u: int) -> tuple[int, ...]:
+    """Distances from u, -1 where unreachable: a BFS one level at a time."""
+    adjacency = graph.adjacency
     dist = [-1] * graph.n
     dist[u] = 0
-    queue = deque([u])
-    adjacency = graph.adjacency
-    while queue:
-        x = queue.popleft()
-        dx = dist[x]
-        for y in adjacency[x]:
-            if dist[y] < 0:
-                dist[y] = dx + 1
-                queue.append(y)
+    frontier = [u]
+    d = 0
+    while frontier:
+        d += 1
+        reached = []
+        for x in frontier:
+            for y in adjacency[x]:
+                if dist[y] < 0:
+                    dist[y] = d
+                    reached.append(y)
+        frontier = reached
     return tuple(dist)
 
 

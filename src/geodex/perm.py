@@ -8,6 +8,11 @@ Groups are represented by a base and strong generating set built with a
 deterministic Schreier-Sims procedure: base points are taken from an optional
 hint first and otherwise as the smallest point moved by the offending
 residue, so the same generator list always produces the same chain.
+``build_group`` builds the chain at once.  A group whose order is already
+known (the automorphism search counts it from its own orbits) is made with
+``PermGroup(degree, generators, order)`` and builds the same chain from its
+generators only on first use, checking its order then; ``order()`` never
+builds one.
 
 Each chain level stores its transversal together with the inverse of every
 transversal element (``inverse[q]`` is the inverse of ``transversal[q]``), so
@@ -349,15 +354,33 @@ def _build_chain(degree: int, raw_gens, base_hint=()) -> _Chain:
 
 @dataclass(frozen=True)
 class PermGroup:
-    """A finite permutation group on {0, ..., degree-1}."""
+    """A finite permutation group on {0, ..., degree-1} with ``_order``
+    elements.
+
+    Its stabilizer chain is ``_cache["chain"]``.  A group made without one
+    builds it from its generators on first use, as ``build_group`` does, and
+    raises AssertionError if the chain's order is not ``_order``.
+    """
 
     degree: int
     generators: tuple[Permutation, ...]
-    _chain: _Chain = field(compare=False, repr=False, hash=False)
+    _order: int = field(compare=False, repr=False, hash=False)
     _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
+    @property
+    def _chain(self) -> _Chain:
+        chain = self._cache.get("chain")
+        if chain is None:
+            chain = _build_chain(self.degree, [g.images for g in self.generators])
+            if chain.order() != self._order:
+                raise AssertionError(
+                    f"stabilizer chain has order {chain.order()}, expected {self._order}"
+                )
+            self._cache["chain"] = chain
+        return chain
+
     def order(self) -> int:
-        return self._chain.order()
+        return self._order
 
     def __contains__(self, perm: Permutation) -> bool:
         if perm.degree != self.degree:
@@ -459,7 +482,7 @@ def build_group(generators, *, degree: int | None = None) -> PermGroup:
         raise PointOutOfRange("degree must be at least 1")
     perms = [g for g in perms if not g.is_identity()]
     chain = _build_chain(degree, [g.images for g in perms])
-    return PermGroup(degree, tuple(perms), chain)
+    return PermGroup(degree, tuple(perms), chain.order(), {"chain": chain})
 
 
 def group_from_json(data: dict) -> PermGroup:
@@ -475,7 +498,7 @@ def group_from_json(data: dict) -> PermGroup:
 
 
 def _group_from_chain(degree: int, raw_gens, chain: _Chain) -> PermGroup:
-    return PermGroup(degree, tuple(Permutation(g) for g in raw_gens), chain)
+    return PermGroup(degree, tuple(Permutation(g) for g in raw_gens), chain.order(), {"chain": chain})
 
 
 # ---------------------------------------------------------------------------

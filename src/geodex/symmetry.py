@@ -3,7 +3,14 @@ deciders for finite graphs with explicit permutation groups.
 
 The automorphism engine is a backtracking search over partial vertex maps,
 pruned by equitable-partition colors and full distance consistency against
-every mapped vertex.  The isomorphism test runs the same search from one root
+every mapped vertex.  It reads |Aut| off its own levels: each one ends with
+the full orbit of its branch vertex under the stabilizer of the points fixed
+before it, and the last level's partition is discrete, so |Aut| is the
+product of those orbit lengths (as in nauty; McKay & Piperno, *Practical
+graph isomorphism II*, 2014).  The group it returns builds its stabilizer
+chain only on first use, from its generators as ``build_group`` would, and
+raises AssertionError if the chain's order differs from that product.
+The isomorphism test runs the same search from one root
 vertex to each target in its cell, but first individualizes both and refines
 them against one trace (McKay, *Practical graph isomorphism*, 1981): a target
 whose refinement differs at any round is refuted without a search, and a
@@ -14,6 +21,7 @@ against the total tuple count), never by listing tuple orbits.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import asdict, dataclass
 
@@ -29,7 +37,7 @@ from .errors import (
     ValencyNotPrimePowerPlusOne,
 )
 from .graph import Graph
-from .perm import PermGroup, Permutation, build_group
+from .perm import PermGroup, Permutation
 
 #: automorphism/isomorphism search refuses graphs larger than this
 AUTOMORPHISM_VERTEX_CAP = 512
@@ -54,19 +62,16 @@ def _refine(adjacency, colors, trace=None):
     colorings against one trace thus either refutes every isomorphism that
     maps one coloring onto the other, or gives them corresponding color ids.
     """
-    n = len(adjacency)
     if trace is not None and not _traced(trace, 0, sorted(colors)):
         return None
     ncolors = len(set(colors))
     rounds = 0
     while True:
-        sigs = [
-            (colors[u], tuple(sorted(colors[w] for w in adjacency[u])))
-            for u in range(n)
-        ]
+        color_of = colors.__getitem__
+        sigs = [(c, tuple(sorted(map(color_of, nbrs)))) for c, nbrs in zip(colors, adjacency)]
         keys = sorted(set(sigs))
         ids = {sig: i for i, sig in enumerate(keys)}
-        colors = [ids[sig] for sig in sigs]
+        colors = list(map(ids.__getitem__, sigs))
         rounds += 1
         if trace is not None and not _traced(trace, rounds, keys):
             return None
@@ -90,24 +95,33 @@ def _traced(trace, i, record) -> bool:
 def _extension_order(adjacency, sources):
     """(vertex, anchor) per search depth once ``sources`` are mapped: a
     most-constrained vertex (most mapped neighbors, lowest index on ties) and
-    its first mapped neighbor."""
+    its first mapped neighbor.
+
+    A heap holds (-count, vertex) each time a count grows; counts only grow,
+    so an entry is current iff its vertex is unplaced and its count still
+    matches, and the least current entry is the argmax.
+    """
     n = len(adjacency)
     placed = [False] * n
     nbr_count = [0] * n
-    for q in sources:
-        placed[q] = True
-        for w in adjacency[q]:
-            nbr_count[w] += 1
-    order = []
-    for _ in range(n - len(sources)):
-        u, best = -1, 0
-        for v in range(n):
-            if not placed[v] and nbr_count[v] > best:
-                u, best = v, nbr_count[v]
-        order.append((u, next(q for q in adjacency[u] if placed[q])))
+    heap: list[tuple[int, int]] = []
+
+    def place(u) -> None:
         placed[u] = True
         for w in adjacency[u]:
-            nbr_count[w] += 1
+            if not placed[w]:
+                nbr_count[w] += 1
+                heapq.heappush(heap, (-nbr_count[w], w))
+
+    for q in sources:
+        place(q)
+    order = []
+    while heap:
+        count, u = heapq.heappop(heap)
+        if placed[u] or -count != nbr_count[u]:
+            continue
+        order.append((u, next(q for q in adjacency[u] if placed[q])))
+        place(u)
     return tuple(order)
 
 
@@ -124,6 +138,11 @@ def _search_map(g1, g2, colors1, colors2, seeds):
     is the same on every branch; it is memoized in ``g1._cache`` per set of
     seed sources, so every candidate of an automorphism level and every root
     target of an isomorphism test shares one order.
+
+    The search is complete: None means that no color-preserving isomorphism
+    extends the seeds.  That is what lets ``automorphism_group`` take a
+    level's reached set as the full orbit, and so count |Aut| without a
+    stabilizer chain.
     """
     n = g1.n
     adj1, adj2 = g1.adjacency, g2.adjacency
@@ -192,7 +211,16 @@ def automorphism_group(graph: Graph) -> PermGroup:
     Builds generators level by level along a base: at each level it finds one
     automorphism per new orbit point of the chosen branch vertex, skipping
     targets already reachable (or already refuted) under the generators found
-    so far.  Raises GraphTooLarge above AUTOMORPHISM_VERTEX_CAP vertices.
+    so far.  Every point of the branch cell is thus reached, found, or refuted
+    with its orbit, so ``reached`` ends as the orbit of the branch vertex
+    under the automorphisms fixing the earlier ones; once the refined
+    partition is discrete only the identity is left.  The group's order is
+    the product of the levels' orbit lengths.  Its stabilizer chain is built
+    on first use (``base()``, ``walk()``, ``in``, ``raw_elements()``, a
+    stabilizer) by the call ``build_group`` makes, so every base, orbit and
+    element order is the same, and that build asserts the chain's order
+    equals the product.  Raises GraphTooLarge above AUTOMORPHISM_VERTEX_CAP
+    vertices.
     """
     _check_search_cap(graph.n)
     if graph.n == 0 or not graph.connected:
@@ -202,6 +230,7 @@ def automorphism_group(graph: Graph) -> PermGroup:
 
     gens_raw: list[tuple[int, ...]] = []
     fixed: list[int] = []
+    order = 1
     while True:
         work = list(base_colors)
         shift = n  # individualized points get fresh unique colors
@@ -237,8 +266,9 @@ def automorphism_group(graph: Graph) -> PermGroup:
             else:
                 failed |= orbit_w
         gens_raw.extend(level_gens)
+        order *= len(reached)
         fixed.append(v)
-    return build_group([Permutation(g) for g in gens_raw], degree=n)
+    return PermGroup(n, tuple(Permutation(g) for g in gens_raw), order)
 
 
 def are_isomorphic(g1: Graph, g2: Graph):

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geodex
 from geodex import cli
@@ -283,7 +287,13 @@ def test_closed_pipe_exits_quietly():
         assert proc.stderr.read() == ""
 
 
-@pytest.mark.parametrize("content", ["{", "[1, 2]", json.dumps({"n": 3}), json.dumps({"edges": []})])
+@pytest.mark.parametrize(
+    "content",
+    [
+        "{", "[1, 2]", json.dumps({"n": 3}), json.dumps({"edges": []}),
+        pytest.param("[" * 100_000 + "]" * 100_000, id="deeply nested"),
+    ],
+)
 def test_atlas_get_with_bad_data_file(capsys, tmp_path, monkeypatch, content):
     path = tmp_path / "biggs_smith.json"
     path.write_text(content)
@@ -293,3 +303,127 @@ def test_atlas_get_with_bad_data_file(capsys, tmp_path, monkeypatch, content):
     payload = json.loads(out)
     assert payload["error"] == "BadInputFile"
     assert str(path) in payload["message"]
+
+
+# ---------------------------------------------------------------------------
+# fuzzed argv and input files
+# ---------------------------------------------------------------------------
+
+_ints = st.integers(-2, 10)
+_junk = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3))
+
+
+@st.composite
+def _graph_texts(draw):
+    """Graph-file contents: JSON edge lists with bad counts, loops,
+    out-of-range or ill-typed entries, broken JSON, LCF and graph6 garbage."""
+    kind = draw(st.sampled_from(["json", "broken json", "lcf", "graph6", "text"]))
+    if kind == "json":
+        data = {}
+        if draw(st.booleans()):
+            data["n"] = draw(st.one_of(st.integers(-2, 9), _junk))
+        if draw(st.booleans()):
+            entry = st.one_of(st.lists(_ints, max_size=3), _junk)
+            data["edges"] = draw(st.lists(entry, max_size=12))
+        return json.dumps(data)
+    if kind == "broken json":
+        return "{" + draw(st.text(max_size=20))
+    if kind == "lcf":
+        return "[" + draw(st.text(alphabet="0123456789-,]^ ", max_size=12))
+    if kind == "graph6":
+        return draw(st.sampled_from(["", ">>graph6<<", ":", ">>sparse6<<:"])) + draw(
+            st.text(alphabet=[chr(c) for c in range(60, 127)], max_size=16)
+        )
+    return draw(st.text(max_size=30))
+
+
+@st.composite
+def _group_texts(draw):
+    """Group-file contents: wrong degrees, non-bijections, bad cycle strings
+    and broken JSON."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(["{", "[", ""])) + draw(st.text(max_size=20))
+    data = {}
+    if draw(st.booleans()):
+        data["degree"] = draw(st.one_of(st.integers(-1, 10), _junk))
+    entry = st.one_of(
+        st.integers(1, 9).flatmap(lambda k: st.permutations(range(k))),
+        st.lists(_ints, max_size=6),
+        st.text(alphabet="()0123456789, ", max_size=12),
+        _junk,
+    )
+    data["generators"] = draw(st.lists(entry, max_size=3))
+    return json.dumps(data)
+
+
+_ERROR_KEYS = {"error", "message"}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_fuzzed_cli_inputs(tmp_path_factory, data):
+    draw = data.draw
+    folder = tmp_path_factory.mktemp("fuzz", numbered=True)
+    graph_file, group_file, normal_file = (folder / name for name in ("g", "h", "n"))
+    graph_file.write_text(draw(_graph_texts()), encoding="utf-8")
+    group_file.write_text(draw(_group_texts()), encoding="utf-8")
+    normal_file.write_text(draw(_group_texts()), encoding="utf-8")
+
+    command = draw(st.sampled_from(["analyze", "aut", "transitivity", "quotient", "atlas", "verify"]))
+    if command == "atlas":
+        argv = ["atlas"] + draw(st.sampled_from([["list"], ["get", "petersen"], ["get", "no-such"], []]))
+    elif command == "verify":
+        # a target, not an option: "-h" would print the help and exit 0
+        target = st.text(min_size=1, max_size=5).filter(lambda t: t != "paper" and t[0] != "-")
+        argv = ["verify", draw(target)]
+    else:
+        source = draw(st.sampled_from(["--atlas", "--graph"]))
+        value = draw(st.sampled_from(["petersen", "heawood", "K3,3", "C6", "no-such"]))
+        argv = [command, source, str(graph_file) if source == "--graph" else value]
+        if command in ("transitivity", "quotient") and draw(st.booleans()):
+            argv += ["--group", str(group_file)]
+        if command == "quotient":
+            normal = draw(st.sampled_from(["auto", "auto:1", "auto:x", "file"]))
+            argv += ["--normal", str(normal_file) if normal == "file" else normal]
+            if draw(st.booleans()):
+                argv += ["--s", str(draw(st.integers(-2, 6)))]
+    fmt = draw(st.sampled_from(["text", "json", "json", "graph6", None]))
+    if fmt is not None:
+        argv += ["--format", fmt]
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(["--bogus", "extra", "--graph"])))
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv
+    if code == 2:
+        assert out == "" and err.startswith("usage:"), argv
+    elif fmt == "json":
+        payload = json.loads(out)  # exactly one document
+        assert isinstance(payload, dict)
+        assert (set(payload) == _ERROR_KEYS) == (code == 1), argv
+        assert err == "", argv
+    elif code == 1:
+        assert out == "" and err.startswith("error: "), argv
+
+
+@pytest.mark.parametrize("flag", ["--graph", "--group"])
+def test_deeply_nested_json_is_a_bad_input_file(capsys, tmp_path, flag):
+    nested = tmp_path / "nested.json"
+    depth = 100_000
+    nested.write_text('{"n": ' + "[" * depth + "]" * depth + "}")
+    graph = tmp_path / "c6.json"
+    graph.write_text(json.dumps({"n": 6, "edges": [[i, (i + 1) % 6] for i in range(6)]}))
+    if flag == "--graph":
+        argv = ["transitivity", "--graph", str(nested)]
+    else:
+        argv = ["transitivity", "--graph", str(graph), "--group", str(nested)]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 1 and err == ""
+    assert json.loads(out)["error"] == "BadInputFile"

@@ -561,6 +561,46 @@ class TestNormalStructureReference:
         assert [m.order() for m in minimal] == [3]
 
 
+class TestLazyChain:
+    """A group from the automorphism search knows its order from the
+    search's orbits and builds its chain only on first use."""
+
+    ACCESSORS = {
+        "base": lambda g: g.base(),
+        "walk": lambda g: g.walk(),
+        "in": lambda g: g.generators[0] in g,
+        "raw_elements": lambda g: g.raw_elements(),
+    }
+
+    @pytest.mark.parametrize("name", ["petersen", "foster"])
+    @pytest.mark.parametrize("accessor", sorted(ACCESSORS))
+    def test_first_use_builds_one_chain(self, name, accessor, chain_builds):
+        from geodex.atlas import atlas_get
+        from geodex.symmetry import automorphism_group
+
+        group = automorphism_group(atlas_get(name).graph)
+        assert group.order() == atlas_get(name).expected.aut_order
+        assert repr(group).startswith("PermGroup(")  # reads the order only
+        assert chain_builds == []
+        self.ACCESSORS[accessor](group)
+        assert chain_builds == [group.degree]
+        eager = build_group(group.generators)
+        assert group.base() == eager.base()
+        assert group.basic_orbit_sizes() == eager.basic_orbit_sizes()
+        assert group.walk() == eager.walk()
+        assert group.raw_elements() == eager.raw_elements()
+        assert chain_builds == [group.degree] * 2  # the eager one is build_group's
+
+    def test_built_chain_matches_the_counted_order(self):
+        from geodex.atlas import atlas_get
+        from geodex.symmetry import automorphism_group
+
+        group = automorphism_group(atlas_get("hexagon-q2").graph)
+        sizes = group.basic_orbit_sizes()
+        assert group._chain.order() == group.order() == 12096
+        assert sizes == build_group(group.generators).basic_orbit_sizes()
+
+
 class TestSemiregular:
     def test_regular_cyclic(self):
         c5 = build_group([cyc(5, (0, 1, 2, 3, 4))])

@@ -1,8 +1,11 @@
 """The automorphism/isomorphism backtrack against a reference copy of its
-earlier form, and against networkx."""
+earlier form, and against networkx; the order it counts against a
+stabilizer chain; and its per-level set-up (extension order, refinement,
+distances) against reference copies and the Floyd-Warshall oracle."""
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
@@ -10,19 +13,28 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from geodex import graph as graphmod
+from geodex import oracles
 from geodex import symmetry as S
-from geodex.atlas import atlas_get
+from geodex import verify
+from geodex.atlas import atlas_get, atlas_list
 from geodex.graph import build_graph
+from geodex.perm import build_group
+
+
+@functools.lru_cache(maxsize=64)
+def _reference_distances(graph):
+    return oracles.floyd_warshall(graph)
 
 
 def _reference_search_map(g1, g2, colors1, colors2, seeds):
     """The search as it was before its extension order was computed once:
-    a per-node argmax over every vertex, kept as the reference."""
+    a per-node argmax over every vertex, kept as the reference.  Its
+    distances come from the Floyd-Warshall oracle, not the library's BFS."""
     n = g1.n
     if g2.n != n:
         return None
     adj1, adj2 = g1.adjacency, g2.adjacency
-    dist1, dist2 = graphmod.distance_matrix(g1), graphmod.distance_matrix(g2)
+    dist1, dist2 = _reference_distances(g1), _reference_distances(g2)
 
     mapping = [-1] * n
     used = [False] * g2.n
@@ -357,3 +369,154 @@ def test_automorphism_count_agrees_with_networkx():
     for name, hx in _vertex_transitive_graphs(nx).items():
         want = sum(1 for _ in GraphMatcher(hx, hx).isomorphisms_iter())
         assert S.automorphism_group(_from_nx(hx)).order() == want, name
+
+
+# ---------------------------------------------------------------------------
+# |Aut| from the search's own orbits
+# ---------------------------------------------------------------------------
+
+def _assert_order_matches_chain(graph):
+    group = S.automorphism_group(graph)
+    assert group.order() == build_group(group.generators, degree=graph.n).order()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(connected_graphs(max_n=12))
+def test_search_order_matches_chain(graph):
+    _assert_order_matches_chain(graph)
+
+
+@pytest.mark.parametrize("name", atlas_list())
+def test_search_order_matches_chain_on_catalog(name):
+    _assert_order_matches_chain(atlas_get(name).graph)
+
+
+def test_search_order_matches_chain_on_claim_10_corpus():
+    graphs = list(verify._automorphism_corpus())
+    assert len(graphs) == 1060
+    for graph in graphs:
+        _assert_order_matches_chain(graph)
+
+
+def test_undercounted_level_fails_at_the_chain_build(monkeypatch):
+    # drop one point from every orbit of vertex 0 that the search measures:
+    # Petersen's first level then counts 9 of its 10 points
+    original = S.permmod._orbit
+
+    def shrunk(gens, seeds):
+        out = original(gens, seeds)
+        if tuple(seeds) == (0,) and len(out) > 1:
+            out.discard(max(out))
+        return out
+
+    monkeypatch.setattr(S.permmod, "_orbit", shrunk)
+    group = S.automorphism_group(atlas_get("petersen").graph)
+    monkeypatch.setattr(S.permmod, "_orbit", original)
+    assert group.order() == 108
+    with pytest.raises(AssertionError, match="order 120, expected 108"):
+        group.base()
+
+
+# ---------------------------------------------------------------------------
+# per-level set-up against reference copies of its earlier forms
+# ---------------------------------------------------------------------------
+
+def _reference_extension_order(adjacency, sources):
+    """The extension order as an argmax over every vertex per depth."""
+    n = len(adjacency)
+    placed = [False] * n
+    nbr_count = [0] * n
+    for q in sources:
+        placed[q] = True
+        for w in adjacency[q]:
+            nbr_count[w] += 1
+    order = []
+    for _ in range(n - len(sources)):
+        u, best = -1, 0
+        for v in range(n):
+            if not placed[v] and nbr_count[v] > best:
+                u, best = v, nbr_count[v]
+        order.append((u, next(q for q in adjacency[u] if placed[q])))
+        placed[u] = True
+        for w in adjacency[u]:
+            nbr_count[w] += 1
+    return tuple(order)
+
+
+def _reference_refine(adjacency, colors, trace=None):
+    """Equitable refinement with each signature built by a generator."""
+    n = len(adjacency)
+    if trace is not None and not S._traced(trace, 0, sorted(colors)):
+        return None
+    ncolors = len(set(colors))
+    rounds = 0
+    while True:
+        sigs = [
+            (colors[u], tuple(sorted(colors[w] for w in adjacency[u])))
+            for u in range(n)
+        ]
+        keys = sorted(set(sigs))
+        ids = {sig: i for i, sig in enumerate(keys)}
+        colors = [ids[sig] for sig in sigs]
+        rounds += 1
+        if trace is not None and not S._traced(trace, rounds, keys):
+            return None
+        if len(ids) == ncolors:
+            return colors
+        ncolors = len(ids)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(connected_graphs(max_n=12), st.data())
+def test_extension_order_matches_argmax(graph, data):
+    sources = data.draw(st.lists(st.integers(0, graph.n - 1), min_size=1, unique=True))
+    want = _reference_extension_order(graph.adjacency, sources)
+    assert S._extension_order(graph.adjacency, sources) == want
+
+
+@pytest.mark.parametrize("name", ["foster", "hexagon-q2", "petersen"])
+def test_extension_order_matches_argmax_on_catalog(name):
+    adjacency = atlas_get(name).graph.adjacency
+    rng = random.Random(name)
+    for k in (1, 2, 3, 5, 8, 10):
+        sources = rng.sample(range(len(adjacency)), k)
+        want = _reference_extension_order(adjacency, sources)
+        assert S._extension_order(adjacency, sources) == want
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(connected_graphs(max_n=12), st.data())
+def test_refine_matches_reference(graph, data):
+    n = graph.n
+    colors = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        # (color, distance) pairs, as the isomorphism test seeds its roots
+        v = data.draw(st.integers(0, n - 1))
+        colors = list(zip(colors, graphmod.distance_matrix(graph)[v]))
+    assert S._refine(graph.adjacency, colors) == _reference_refine(graph.adjacency, colors)
+    trace: list = []
+    want_trace: list = []
+    assert S._refine(graph.adjacency, colors, trace) == _reference_refine(
+        graph.adjacency, colors, want_trace
+    )
+    assert trace == want_trace
+
+
+def _path(n):
+    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _cycle(n):
+    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs(max_n=14))
+def test_distance_matrix_matches_floyd_warshall(graph):
+    assert [list(row) for row in graphmod.distance_matrix(graph)] == oracles.floyd_warshall(graph)
+
+
+@pytest.mark.parametrize("graph", [_path(40), _cycle(33), _cycle(40)], ids=["P40", "C33", "C40"])
+def test_distance_matrix_matches_floyd_warshall_past_diameter_15(graph):
+    assert graphmod.diameter(graph) > 15
+    assert [list(row) for row in graphmod.distance_matrix(graph)] == oracles.floyd_warshall(graph)
