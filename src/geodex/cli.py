@@ -20,7 +20,7 @@ from . import perm as permmod
 from . import quotient as quotientmod
 from . import symmetry as symmod
 from . import verify as verifymod
-from .errors import BadInputFile, BadOption, GeodexError
+from .errors import BadInputFile, BadOption, GeodexError, NotAutomorphisms
 from .graph import Graph
 from .perm import PermGroup
 
@@ -58,17 +58,24 @@ def _resolve_graph(args) -> tuple[str, Graph]:
     return args.graph, _load_graph_file(args.graph)
 
 
-def _load_group_file(path: str) -> PermGroup:
+def _load_group_file(path: str, n: int | None = None) -> PermGroup:
+    """The group a JSON file describes.  With ``n``, a file whose integer
+    ``degree`` differs from it raises NotAutomorphisms before any permutation
+    is built, so a huge ``degree`` allocates nothing."""
     text = _read_file(path)
     try:
-        return permmod.group_from_json(json.loads(text))
+        data = json.loads(text)
+        degree = data.get("degree") if isinstance(data, dict) else None
+        if n is not None and type(degree) is int and degree != n:
+            raise NotAutomorphisms(f"group degree {degree} does not match {n} vertices")
+        return permmod.group_from_json(data)
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise _malformed(path, exc) from exc
 
 
 def _resolve_group(args, graph: Graph) -> PermGroup:
     if getattr(args, "group", None):
-        group = _load_group_file(args.group)
+        group = _load_group_file(args.group, graph.n)
         symmod.validate_automorphisms(graph, group)
         return group
     return symmod.automorphism_group(graph)

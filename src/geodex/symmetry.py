@@ -3,14 +3,20 @@ deciders for finite graphs with explicit permutation groups.
 
 The automorphism engine is a backtracking search over partial vertex maps,
 pruned by equitable-partition colors and full distance consistency against
-every mapped vertex.  It reads |Aut| off its own levels: each one ends with
-the full orbit of its branch vertex under the stabilizer of the points fixed
-before it, and the last level's partition is discrete, so |Aut| is the
-product of those orbit lengths (as in nauty; McKay & Piperno, *Practical
-graph isomorphism II*, 2014).  The group it returns builds its stabilizer
-chain only on first use, from its generators as ``build_group`` would, and
-raises AssertionError if the chain's order differs from that product.
-The isomorphism test runs the same search from one root
+every mapped vertex.  It fixes its base by refinement alone, then settles the
+levels deepest first, as nauty does (McKay & Piperno, *Practical graph
+isomorphism II*, 2014): the generators of the deeper levels fix every earlier
+base point, so their orbits carry a refuted target's failure to the targets
+it reaches, and those searches are skipped.  It reads |Aut| off its own
+levels: each one ends with the full orbit of its branch vertex under the
+stabilizer of the points fixed before it, and the last level's partition is
+discrete, so |Aut| is the product of those orbit lengths.  The group it
+returns builds its stabilizer chain only on first use, from its generators as
+``build_group`` would, and raises AssertionError if the chain's order differs
+from that product.
+The isomorphism test first compares the two graphs' sorted distance rows, an
+invariant that tells most non-isomorphic pairs with equal degrees apart.
+Past that, it runs the same search from one root
 vertex to each target in its cell, but first individualizes both and refines
 them against one trace (McKay, *Practical graph isomorphism*, 1981): a target
 whose refinement differs at any round is refuted without a search, and a
@@ -205,32 +211,19 @@ def _check_search_cap(n: int) -> None:
         raise GraphTooLarge(f"{n} vertices exceeds the search cap {AUTOMORPHISM_VERTEX_CAP}")
 
 
-def automorphism_group(graph: Graph) -> PermGroup:
-    """Full automorphism group via individualization plus backtracking.
+def _base_levels(graph: Graph):
+    """(fixed prefix, refined colors, sorted branch cell, branch vertex) per
+    level, top-down, until the refined partition is discrete.
 
-    Builds generators level by level along a base: at each level it finds one
-    automorphism per new orbit point of the chosen branch vertex, skipping
-    targets already reachable (or already refuted) under the generators found
-    so far.  Every point of the branch cell is thus reached, found, or refuted
-    with its orbit, so ``reached`` ends as the orbit of the branch vertex
-    under the automorphisms fixing the earlier ones; once the refined
-    partition is discrete only the identity is left.  The group's order is
-    the product of the levels' orbit lengths.  Its stabilizer chain is built
-    on first use (``base()``, ``walk()``, ``in``, ``raw_elements()``, a
-    stabilizer) by the call ``build_group`` makes, so every base, orbit and
-    element order is the same, and that build asserts the chain's order
-    equals the product.  Raises GraphTooLarge above AUTOMORPHISM_VERTEX_CAP
-    vertices.
+    Each level individualizes the earlier levels' branch vertices, refines,
+    and branches on the least vertex of a smallest non-singleton cell (lowest
+    color on ties).  The base depends only on refinement, never on what a
+    search finds.
     """
-    _check_search_cap(graph.n)
-    if graph.n == 0 or not graph.connected:
-        raise Disconnected("automorphism search requires a connected graph")
-    base_colors = _refine(graph.adjacency, [0] * graph.n)
     n = graph.n
-
-    gens_raw: list[tuple[int, ...]] = []
+    base_colors = _refine(graph.adjacency, [0] * n)
+    levels = []
     fixed: list[int] = []
-    order = 1
     while True:
         work = list(base_colors)
         shift = n  # individualized points get fresh unique colors
@@ -243,17 +236,54 @@ def automorphism_group(graph: Graph) -> PermGroup:
             cells.setdefault(c, []).append(u)
         candidates = [(len(cell), c, cell) for c, cell in cells.items() if len(cell) > 1]
         if not candidates:
-            break
+            return levels
         _, _, branch = min(candidates, key=lambda item: item[:2])
         v = min(branch)
+        levels.append((tuple(fixed), level_colors, sorted(branch), v))
+        fixed.append(v)
+
+
+def automorphism_group(graph: Graph) -> PermGroup:
+    """Full automorphism group via individualization plus backtracking.
+
+    The base comes first (``_base_levels``); then the levels are settled
+    deepest first, as nauty does.  At each level it finds one automorphism
+    per new orbit point of the branch vertex v, skipping targets already in
+    ``reached`` (v's orbit under this level's generators) and targets whose
+    orbit under the deeper levels' generators plus this level's meets a
+    refuted point.  The deeper generators fix this level's prefix, so that
+    orbit lies inside the target's orbit under the prefix stabilizer, and a
+    skipped target could only have been refuted too.  Every point of the
+    branch cell is thus reached, found, or refuted with its orbit, so
+    ``reached`` ends as the orbit of v under the automorphisms fixing the
+    prefix; once the refined partition is discrete only the identity is
+    left.  The group's order is the product of the levels' orbit lengths.
+    The skip never drops a search that succeeds, and ``reached`` does not
+    depend on the other levels, so each level finds the same generators as a
+    top-down pass; they are returned in top-down level order.
+
+    The group's stabilizer chain is built on first use (``base()``,
+    ``walk()``, ``in``, ``raw_elements()``, a stabilizer) by the call
+    ``build_group`` makes, so every base, orbit and element order is the
+    same, and that build asserts the chain's order equals the product.
+    Raises GraphTooLarge above AUTOMORPHISM_VERTEX_CAP vertices.
+    """
+    _check_search_cap(graph.n)
+    if graph.n == 0 or not graph.connected:
+        raise Disconnected("automorphism search requires a connected graph")
+
+    deeper: list[tuple[int, ...]] = []  # generators of the levels settled so far
+    per_level: list[list[tuple[int, ...]]] = []
+    order = 1
+    for fixed, level_colors, branch, v in reversed(_base_levels(graph)):
         level_gens: list[tuple[int, ...]] = []
         reached = {v}
         failed: set[int] = set()
         seeds_base = [(f, f) for f in fixed]
-        for w in sorted(branch):
+        for w in branch:
             if w == v or w in reached:
                 continue
-            orbit_w = permmod._orbit(level_gens, (w,))
+            orbit_w = permmod._orbit(deeper + level_gens, (w,))
             if orbit_w & failed:
                 failed |= orbit_w
                 continue
@@ -265,21 +295,24 @@ def automorphism_group(graph: Graph) -> PermGroup:
                 reached = permmod._orbit(level_gens, (v,))
             else:
                 failed |= orbit_w
-        gens_raw.extend(level_gens)
+        deeper += level_gens
+        per_level.append(level_gens)
         order *= len(reached)
-        fixed.append(v)
-    return PermGroup(n, tuple(Permutation(g) for g in gens_raw), order)
+    gens_raw = [g for level_gens in reversed(per_level) for g in level_gens]
+    return PermGroup(graph.n, tuple(Permutation(g) for g in gens_raw), order)
 
 
 def are_isomorphic(g1: Graph, g2: Graph):
     """A vertex bijection g1 -> g2 (as an image tuple), or None.
 
-    A root of g1 in a smallest degree-level cell is refined once from its
-    distances, and its trace recorded; each target t of g2 in that cell is
-    refined from its own distances against the trace and skipped at the first
-    round that differs, since no isomorphism maps the root to it.  Refined
-    colors only rule out maps that are no isomorphism, so the search returns
-    the same first map it would find from the degree-level colors.
+    Connected graphs whose multisets of sorted distance rows differ are not
+    isomorphic, and are rejected before any root target is refined.
+    Otherwise a root of g1 in a smallest degree-level cell is refined once
+    from its distances, and its trace recorded; each target t of g2 in that
+    cell is refined from its own distances against the trace and skipped at
+    the first round that differs, since no isomorphism maps the root to it.
+    Refined colors only rule out maps that are no isomorphism, so the search
+    returns the same first map it would find from the degree-level colors.
 
     Works for disconnected inputs by matching components.  Raises
     GraphTooLarge when either graph has more than AUTOMORPHISM_VERTEX_CAP
@@ -313,6 +346,9 @@ def are_isomorphic(g1: Graph, g2: Graph):
     # individualizing a vertex forces the distance partition from it, so
     # seeding with distances reaches the same stable partition in fewer rounds
     dist1, dist2 = graphmod.distance_matrix(g1), graphmod.distance_matrix(g2)
+    # the multiset of sorted distance rows is an isomorphism invariant
+    if sorted(map(sorted, dist1)) != sorted(map(sorted, dist2)):
+        return None
     trace: list = []
     root_colors = _refine(g1.adjacency, list(zip(colors1, dist1[root])), trace)
     for t in cell_of.get(colors1[root], ()):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -254,6 +255,28 @@ def test_group_file_without_degree(capsys, tmp_path):
     )
     assert code == 1
     assert json.loads(out)["error"] == "BadInputFile"
+
+
+def test_huge_group_degree_is_refused_before_building(capsys, tmp_path):
+    # a degree of 10^9 would otherwise build identities of 10^9 points
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"degree": 10**9, "generators": ["(0 1)"]}))
+    run(capsys, "atlas", "get", "petersen")  # load the catalog before measuring
+    tracemalloc.start()
+    try:
+        code, out, err = run(
+            capsys, "transitivity", "--atlas", "petersen", "--group", str(path),
+            "--format", "json",
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and err == ""
+    assert json.loads(out) == {
+        "error": "NotAutomorphisms",
+        "message": "group degree 1000000000 does not match 10 vertices",
+    }
+    assert peak < 2**20
 
 
 def test_atlas_get_with_empty_data_dir(tmp_path):

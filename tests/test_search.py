@@ -1,7 +1,8 @@
 """The automorphism/isomorphism backtrack against a reference copy of its
-earlier form, and against networkx; the order it counts against a
-stabilizer chain; and its per-level set-up (extension order, refinement,
-distances) against reference copies and the Floyd-Warshall oracle."""
+earlier form, and against networkx; the deepest-first level order against
+the top-down pass; the order it counts against a stabilizer chain; and its
+per-level set-up (extension order, refinement, distances) against reference
+copies and the Floyd-Warshall oracle."""
 
 from __future__ import annotations
 
@@ -16,9 +17,9 @@ from geodex import graph as graphmod
 from geodex import oracles
 from geodex import symmetry as S
 from geodex import verify
-from geodex.atlas import atlas_get, atlas_list
+from geodex.atlas import atlas_get, atlas_list, pg2_incidence, symplectic_quadrangle
 from geodex.graph import build_graph
-from geodex.perm import build_group
+from geodex.perm import Permutation, build_group
 
 
 @functools.lru_cache(maxsize=64)
@@ -153,45 +154,94 @@ def order_builds(monkeypatch):
     return builds
 
 
-def test_one_extension_order_per_level(order_builds, monkeypatch):
-    searches = []
-    original = S._search_map
-
-    def counted(g1, g2, colors1, colors2, seeds):
-        searches.append(tuple(u for u, _ in seeds))
-        return original(g1, g2, colors1, colors2, seeds)
-
-    monkeypatch.setattr(S, "_search_map", counted)
+def test_one_extension_order_per_level(order_builds, searches):
     foster = atlas_get("foster").graph  # a fresh graph with an empty cache
     assert S.automorphism_group(foster).order() == 4320
-    # level i maps its i fixed points and one branch vertex, and builds once
-    assert [len(b) for b in order_builds] == list(range(1, len(order_builds) + 1))
-    assert all(set(a) < set(b) for a, b in zip(order_builds, order_builds[1:]))
-    assert len(set(searches)) == len(order_builds) < len(searches)
+    # level i maps its i fixed points and one branch vertex, and builds once;
+    # the levels are settled deepest first
+    assert [len(b) for b in order_builds] == list(range(len(order_builds), 0, -1))
+    assert all(set(a) > set(b) for a, b in zip(order_builds, order_builds[1:]))
+    sources = {tuple(u for u, _ in seeds) for seeds in searches}
+    assert len(sources) == len(order_builds) < len(searches)
 
 
-def test_one_extension_order_per_isomorphism_test(order_builds, monkeypatch):
-    searches = []
+@pytest.fixture
+def searches(monkeypatch):
+    """A list that gains the seeds of every ``_search_map`` call."""
+    calls = []
     original = S._search_map
 
     def counted(g1, g2, colors1, colors2, seeds):
-        searches.append(seeds)
+        calls.append(seeds)
         return original(g1, g2, colors1, colors2, seeds)
 
     monkeypatch.setattr(S, "_search_map", counted)
+    return calls
+
+
+@pytest.fixture
+def traced_refinements(monkeypatch):
+    """A list that gains one entry per ``_refine`` call made with a trace."""
+    calls = []
+    original = S._refine
+
+    def counted(adjacency, colors, trace=None):
+        if trace is not None:
+            calls.append(len(adjacency))
+        return original(adjacency, colors, trace)
+
+    monkeypatch.setattr(S, "_refine", counted)
+    return calls
+
+
+def test_one_extension_order_per_isomorphism_test(order_builds, searches, traced_refinements):
     foster = atlas_get("foster").graph
     images = list(range(foster.n))
     random.Random(90).shuffle(images)
     relabeled = build_graph(foster.n, [(images[u], images[v]) for u, v in foster.edges()])
     assert S.are_isomorphic(atlas_get("foster").graph, relabeled) is not None
     assert len(order_builds) == 1
-    # swapping two edges makes a 9-cycle, so refinement refutes every root
-    # target and nothing is searched
+    # swapping two edges makes a 9-cycle, which changes the distance profile:
+    # the pair is rejected before any root target is refined or searched
     swapped = build_graph(foster.n, set(foster.edges()) - {(0, 1), (2, 3)} | {(0, 2), (1, 3)})
     assert graphmod.girth(swapped) == 9
     searches.clear()
+    traced_refinements.clear()
     assert S.are_isomorphic(atlas_get("foster").graph, swapped) is None
+    assert traced_refinements == []
     assert searches == []
+
+
+def _shrikhande():
+    """Cayley graph of Z4 x Z4 on {±(1,0), ±(0,1), ±(1,1)}."""
+    steps = [(1, 0), (0, 1), (1, 1)]
+    return build_graph(16, {
+        (4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)
+        for a in range(4) for b in range(4) for da, db in steps
+    })
+
+
+def _rook_4x4():
+    """K4 x K4: cells of a 4x4 board, adjacent when in one row or column."""
+    return build_graph(16, [
+        (u, v) for u in range(16) for v in range(u + 1, 16)
+        if (u // 4 == v // 4) != (u % 4 == v % 4)
+    ])
+
+
+def test_equal_distance_profiles_reach_the_search(searches, traced_refinements):
+    # both are srg(16, 6, 2, 2): same degrees, same distance profile, and the
+    # distance partition from any vertex is already equitable, so no root
+    # target is refuted before its search
+    shrikhande, rook = _shrikhande(), _rook_4x4()
+    profile = [sorted(map(sorted, graphmod.distance_matrix(g))) for g in (shrikhande, rook)]
+    assert profile[0] == profile[1]
+    assert S.are_isomorphic(shrikhande, rook) is None
+    assert len(traced_refinements) == 1 + 16
+    assert sorted(t for (_, t), in searches) == list(range(16))
+    nx = pytest.importorskip("networkx")
+    hx = [nx.Graph(list(g.edges())) for g in (shrikhande, rook)]
+    assert not nx.is_isomorphic(*hx)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +419,118 @@ def test_automorphism_count_agrees_with_networkx():
     for name, hx in _vertex_transitive_graphs(nx).items():
         want = sum(1 for _ in GraphMatcher(hx, hx).isomorphisms_iter())
         assert S.automorphism_group(_from_nx(hx)).order() == want, name
+
+
+# ---------------------------------------------------------------------------
+# levels settled deepest first, against the top-down pass
+# ---------------------------------------------------------------------------
+
+def _reference_automorphism_group(graph):
+    """``automorphism_group`` as it was before its levels were settled deepest
+    first: each level in turn, top-down, with a candidate skipped only when
+    its orbit under that level's own generators meets a refuted point."""
+    base_colors = S._refine(graph.adjacency, [0] * graph.n)
+    n = graph.n
+    gens_raw = []
+    fixed = []
+    order = 1
+    while True:
+        work = list(base_colors)
+        for shift, f in enumerate(fixed, n):
+            work[f] = shift
+        level_colors = S._refine(graph.adjacency, work)
+        cells: dict[int, list[int]] = {}
+        for u, c in enumerate(level_colors):
+            cells.setdefault(c, []).append(u)
+        candidates = [(len(cell), c, cell) for c, cell in cells.items() if len(cell) > 1]
+        if not candidates:
+            break
+        _, _, branch = min(candidates, key=lambda item: item[:2])
+        v = min(branch)
+        level_gens = []
+        reached = {v}
+        failed: set[int] = set()
+        for w in sorted(branch):
+            if w == v or w in reached:
+                continue
+            orbit_w = S.permmod._orbit(level_gens, (w,))
+            if orbit_w & failed:
+                failed |= orbit_w
+                continue
+            found = S._search_map(
+                graph, graph, level_colors, level_colors, [(f, f) for f in fixed] + [(v, w)]
+            )
+            if found is not None:
+                level_gens.append(found)
+                reached = S.permmod._orbit(level_gens, (v,))
+            else:
+                failed |= orbit_w
+        gens_raw.extend(level_gens)
+        order *= len(reached)
+        fixed.append(v)
+    return gens_raw, order
+
+
+def _assert_same_group_as_reference(graph):
+    want_gens, want_order = _reference_automorphism_group(graph)
+    group = S.automorphism_group(graph)
+    assert [g.images for g in group.generators] == want_gens
+    assert group.order() == want_order
+    reference = build_group([Permutation(g) for g in want_gens], degree=graph.n)
+    assert group.base() == reference.base()
+    assert group.basic_orbit_sizes() == reference.basic_orbit_sizes()
+    assert group.walk() == reference.walk()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(connected_graphs(max_n=12))
+def test_deepest_first_matches_top_down(graph):
+    _assert_same_group_as_reference(graph)
+
+
+@pytest.mark.parametrize("name", atlas_list())
+def test_deepest_first_matches_top_down_on_catalog(name):
+    base = atlas_get(name).graph
+    rng = random.Random(name)
+    for _ in range(2):
+        images = list(range(base.n))
+        rng.shuffle(images)
+        _assert_same_group_as_reference(_relabel(base, images))
+
+
+@pytest.mark.parametrize("name", ["PG(2,4)", "W(3)"])
+def test_deepest_first_matches_top_down_on_relabelings(name):
+    base = pg2_incidence(4) if name == "PG(2,4)" else symplectic_quadrangle(3)
+    rng = random.Random(name)
+    for _ in range(2):
+        images = list(range(base.n))
+        rng.shuffle(images)
+        _assert_same_group_as_reference(_relabel(base, images))
+
+
+def test_deeper_generators_skip_failing_searches(monkeypatch):
+    # W(3)'s first branch cell holds points and lines, which refinement cannot
+    # split; orbits under the deeper levels' generators skip searches that
+    # map a point onto a line.  At the constructor's labels both passes fail
+    # once; on this seeded relabeling the top-down pass fails 4 times.
+    base = symplectic_quadrangle(3)
+    images = list(range(base.n))
+    random.Random(2).shuffle(images)
+    w3 = _relabel(base, images)
+    original = S._search_map
+    failures = []
+
+    def counted(g1, g2, colors1, colors2, seeds):
+        found = original(g1, g2, colors1, colors2, seeds)
+        failures.append(found is None)
+        return found
+
+    monkeypatch.setattr(S, "_search_map", counted)
+    _reference_automorphism_group(w3)
+    top_down = sum(failures)
+    failures.clear()
+    assert S.automorphism_group(w3).order() == 51840
+    assert (top_down, sum(failures)) == (4, 1)
 
 
 # ---------------------------------------------------------------------------
