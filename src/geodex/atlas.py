@@ -286,10 +286,10 @@ def cayley_graph(elements, connection) -> Graph:
     Vertices are the elements in sorted (right-regular) order; x ~ y iff
     y x^{-1} lies in S.
     """
-    elems = sorted({g.images for g in elements})
+    elems = sorted({permmod._raw(g.images) for g in elements})
     index = {img: i for i, img in enumerate(elems)}
-    s_set = {g.images for g in connection}
-    identity = tuple(range(len(elems[0])))
+    s_set = {permmod._raw(g.images) for g in connection}
+    identity = permmod._raw(range(len(elems[0])))
     if identity in s_set:
         raise ContainsIdentity("connection set contains the identity")
     for s in s_set:
@@ -326,13 +326,14 @@ def cayley_graph_from_table(table, connection_indices) -> Graph:
 
 def right_regular_action(elements, generators) -> PermGroup:
     """Right-multiplication action of ``generators`` on the sorted elements."""
-    elems = sorted({g.images for g in elements})
+    elems = sorted({permmod._raw(g.images) for g in elements})
     index = {img: i for i, img in enumerate(elems)}
     gens = []
     for g in generators:
+        g_raw = permmod._raw(g.images)
         images = [0] * len(elems)
         for img, i in index.items():
-            images[i] = index[permmod._compose(img, g.images)]
+            images[i] = index[permmod._compose(img, g_raw)]
         gens.append(Permutation(tuple(images)))
     return build_group(gens, degree=len(elems))
 
@@ -348,13 +349,14 @@ def coset_graph(group: PermGroup, subgroup: PermGroup, g: Permutation) -> Graph:
         raise NotASubgroup("g is not an element of G")
     if g in subgroup:
         raise GInH("g lies in H")
-    h_elems = [e.images for e in subgroup.elements()]
+    h_elems = subgroup.raw_elements()
+    g_raw = permmod._raw(g.images)
     double_coset = {
-        permmod._compose(permmod._compose(h1, g.images), h2)
+        permmod._compose(permmod._compose(h1, g_raw), h2)
         for h1 in h_elems
         for h2 in h_elems
     }
-    if permmod._inverse(g.images) not in double_coset:
+    if permmod._inverse(g_raw) not in double_coset:
         raise NotSelfPaired("HgH differs from Hg^{-1}H")
     generated = build_group(list(subgroup.generators) + [g], degree=group.degree)
     if generated.order() != group.order():
@@ -372,8 +374,8 @@ def coset_graph(group: PermGroup, subgroup: PermGroup, g: Permutation) -> Graph:
     return graph
 
 
-def _coset_reps(group: PermGroup, h_elems) -> list[tuple[int, ...]]:
-    """Canonical representatives (minimum element) of the right cosets Hx."""
+def _coset_reps(group: PermGroup, h_elems) -> list:
+    """Canonical representatives (minimum raw element) of the right cosets Hx."""
     reps = set()
     for x in group.raw_elements():
         reps.add(min(permmod._compose(h, x) for h in h_elems))
@@ -382,14 +384,15 @@ def _coset_reps(group: PermGroup, h_elems) -> list[tuple[int, ...]]:
 
 def coset_action(group: PermGroup, subgroup: PermGroup) -> PermGroup:
     """Right-multiplication action of G on the right cosets of H."""
-    h_elems = [e.images for e in subgroup.elements()]
+    h_elems = subgroup.raw_elements()
     reps = _coset_reps(group, h_elems)
     index = {r: i for i, r in enumerate(reps)}
     gens = []
     for g in group.generators:
+        g_raw = permmod._raw(g.images)
         images = [0] * len(reps)
         for r, i in index.items():
-            moved = permmod._compose(r, g.images)
+            moved = permmod._compose(r, g_raw)
             images[i] = index[min(permmod._compose(h, moved) for h in h_elems)]
         gens.append(Permutation(tuple(images)))
     return build_group(gens, degree=max(1, len(reps)))

@@ -20,7 +20,7 @@ from . import perm as permmod
 from . import quotient as quotientmod
 from . import symmetry as symmod
 from . import verify as verifymod
-from .errors import BadInputFile, BadOption, GeodexError, NotAutomorphisms
+from .errors import BadInputFile, BadOption, GeodexError, MixedDegree, NotAutomorphisms
 from .graph import Graph
 from .perm import PermGroup
 
@@ -58,16 +58,16 @@ def _resolve_graph(args) -> tuple[str, Graph]:
     return args.graph, _load_graph_file(args.graph)
 
 
-def _load_group_file(path: str, n: int | None = None) -> PermGroup:
-    """The group a JSON file describes.  With ``n``, a file whose integer
-    ``degree`` differs from it raises NotAutomorphisms before any permutation
-    is built, so a huge ``degree`` allocates nothing."""
+def _load_group_file(path: str, n: int, mismatch=NotAutomorphisms) -> PermGroup:
+    """The group a JSON file describes.  A file whose integer ``degree``
+    differs from ``n`` raises ``mismatch`` before any permutation is built, so
+    a huge ``degree`` allocates nothing."""
     text = _read_file(path)
     try:
         data = json.loads(text)
         degree = data.get("degree") if isinstance(data, dict) else None
-        if n is not None and type(degree) is int and degree != n:
-            raise NotAutomorphisms(f"group degree {degree} does not match {n} vertices")
+        if type(degree) is int and degree != n:
+            raise mismatch(f"group degree {degree} does not match {n} vertices")
         return permmod.group_from_json(data)
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise _malformed(path, exc) from exc
@@ -218,7 +218,7 @@ def cmd_quotient(args) -> int:
             )
         normal = candidates[index]
     else:
-        normal = _load_group_file(args.normal)
+        normal = _load_group_file(args.normal, graph.n, MixedDegree)
     result = quotientmod.normal_quotient(graph, group, normal)
     payload = result.to_json()
     payload["name"] = name

@@ -2,7 +2,20 @@
 
 Points are 0-indexed integers.  The product ``p * q`` means "apply p, then q"
 (right action), so ``(p * q)(x) == q(p(x))``.  Cycle notation is accepted only
-at parse boundaries; everywhere else a permutation is its image tuple.
+at parse boundaries; everywhere else a permutation is its image sequence.
+
+A ``Permutation`` holds its images as a tuple, and every generator that is
+printed or written to JSON is one.  Inside this module a *raw* permutation of
+degree at most 256 is a ``bytes`` object of length degree, one image per
+byte: composing is ``bytes.translate`` and inverting ``bytes.maketrans``, both
+in C, and a ``bytes`` object caches its hash, which the class sets and
+processed-pair memos look up.  A byte holds only the points 0..255, so a raw
+permutation of a larger degree stays an image tuple, composed through
+``operator.itemgetter``.  ``_raw`` picks the form from the length alone, and
+every entry that takes outside image sequences (a chain build, ``in``,
+``contains_raw``, a normal closure) converts them with it once.  Bytes and
+tuples of the same images sort alike, so every least element and sorted list
+is the same on either form.
 
 Groups are represented by a base and strong generating set built with a
 deterministic Schreier-Sims procedure: base points are taken from an optional
@@ -16,11 +29,10 @@ builds one.
 
 Each chain level stores its transversal together with the inverse of every
 transversal element (``inverse[q]`` is the inverse of ``transversal[q]``), so
-sifting and Schreier generators never invert.  Composition runs at C level
-through ``operator.itemgetter``.  A chain built with base hint (p0, ..., pk)
-holds, in its levels from j on, a chain for the stabilizer of p0..p(j-1); so
-one build of a pointwise stabilizer memoizes, per group, the stabilizer of
-every prefix of its de-duplicated point tuple.
+sifting and Schreier generators never invert.  A chain built with base hint
+(p0, ..., pk) holds, in its levels from j on, a chain for the stabilizer of
+p0..p(j-1); so one build of a pointwise stabilizer memoizes, per group, the
+stabilizer of every prefix of its de-duplicated point tuple.
 
 A chain also records its *walk list*: the generators that enlarged the group
 when they were added, in order.  It generates the same group, and on an
@@ -56,19 +68,33 @@ ENUMERATION_CAP = 10**6
 
 
 # ---------------------------------------------------------------------------
-# raw image-tuple helpers (internal hot path: no validation, no wrappers)
+# raw permutation helpers (internal hot path: no validation, no wrappers)
 # ---------------------------------------------------------------------------
+
+#: Largest degree whose raw permutations are bytes; above it they are tuples.
+_BYTES_DEGREE = 256
+_ID = bytes(range(256))
+
+
+def _raw(images):
+    """The raw form of an image sequence: bytes up to degree 256, else a tuple."""
+    if len(images) <= _BYTES_DEGREE:
+        return bytes(images)
+    return tuple(images)
+
 
 def _compose(p, q):
     """Apply p, then q."""
-    if len(p) > 1:
-        return itemgetter(*p)(q)
-    # itemgetter returns a scalar for one key and needs at least one
-    return tuple(q[i] for i in p)
+    if len(p) <= _BYTES_DEGREE:
+        return p.translate(q + _ID[len(q):])
+    return itemgetter(*p)(q)
 
 
 def _inverse(p):
-    inv = [0] * len(p)
+    n = len(p)
+    if n <= _BYTES_DEGREE:
+        return bytes.maketrans(p, _ID[:n])[:n]
+    inv = [0] * n
     for i, j in enumerate(p):
         inv[j] = i
     return tuple(inv)
@@ -80,7 +106,7 @@ def _conjugate(x, g, gi):
 
 
 def _orbit(gens, seeds) -> set[int]:
-    """Closure of the point set ``seeds`` under the image tuples ``gens``."""
+    """Closure of the point set ``seeds`` under the image sequences ``gens``."""
     out = set(seeds)
     queue = list(out)
     while queue:
@@ -136,10 +162,10 @@ class Permutation:
     def __mul__(self, other: Permutation) -> Permutation:
         if len(self.images) != len(other.images):
             raise MixedDegree("cannot compose permutations of different degrees")
-        return Permutation(_compose(self.images, other.images))
+        return Permutation(_compose(_raw(self.images), _raw(other.images)))
 
     def inverse(self) -> Permutation:
-        return Permutation(_inverse(self.images))
+        return Permutation(_inverse(_raw(self.images)))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
@@ -213,7 +239,7 @@ class _Level:
         # transversal[q] = t with t[point] == q; inverse[q] is t's inverse
         self.transversal = {point: identity}
         self.inverse = {point: identity}
-        self.processed = set()  # (orbit point, generator tuple) pairs already closed
+        self.processed = set()  # (orbit point, raw generator) pairs already closed
 
 
 class _Chain:
@@ -230,7 +256,7 @@ class _Chain:
 
     def __init__(self, degree: int, base_hint=()):
         self.degree = degree
-        self.identity = tuple(range(degree))
+        self.identity = _raw(range(degree))
         self.levels = []
         self.walk = []  # the generators that enlarged the group, in order
         for b in base_hint:
@@ -339,8 +365,10 @@ class _Chain:
         return None
 
 
-def _build_chain(degree: int, raw_gens, base_hint=()) -> _Chain:
+def _build_chain(degree: int, gens, base_hint=()) -> _Chain:
+    """The chain of the image sequences ``gens``, each converted by ``_raw``."""
     chain = _Chain(degree, base_hint)
+    raw_gens = [_raw(g) for g in gens]
     for g in raw_gens:
         chain.add_generator(g)
     for g in raw_gens:
@@ -385,10 +413,11 @@ class PermGroup:
     def __contains__(self, perm: Permutation) -> bool:
         if perm.degree != self.degree:
             return False
-        return self._chain.contains(perm.images)
+        return self._chain.contains(_raw(perm.images))
 
     def contains_raw(self, images) -> bool:
-        return self._chain.contains(tuple(images))
+        """Membership of an image sequence (tuple, list or raw)."""
+        return self._chain.contains(_raw(images))
 
     def base(self) -> tuple[int, ...]:
         return tuple(lvl.point for lvl in self._chain.levels)
@@ -396,11 +425,11 @@ class PermGroup:
     def basic_orbit_sizes(self) -> tuple[int, ...]:
         return tuple(len(lvl.transversal) for lvl in self._chain.levels)
 
-    def walk(self) -> list[tuple[int, ...]]:
-        """Image tuples of the generators that each enlarged the group made by
-        those before them: a subsequence of the generators, making the same
-        group.  (A stabilizer read off another group's chain walks all its
-        strong generators.)"""
+    def walk(self) -> list:
+        """Raw images (bytes up to degree 256, else tuples) of the generators
+        that each enlarged the group made by those before them: a subsequence
+        of the generators, making the same group.  (A stabilizer read off
+        another group's chain walks all its strong generators.)"""
         return self._chain.walk
 
     # -- element access ----------------------------------------------------
@@ -408,8 +437,9 @@ class PermGroup:
     def elements(self) -> list[Permutation]:
         return [Permutation(t) for t in self.raw_elements()]
 
-    def raw_elements(self) -> list[tuple[int, ...]]:
-        """All elements as image tuples, deterministically ordered.
+    def raw_elements(self) -> list:
+        """All elements as raw images (bytes up to degree 256, else tuples),
+        deterministically ordered.
 
         Raises GroupTooLarge above ENUMERATION_CAP elements.
         """
@@ -556,14 +586,14 @@ def normal_test_and_closure(group: PermGroup, subgroup) -> tuple[bool, PermGroup
     NotASubgroup when some element of H fails membership in G.
     """
     if isinstance(subgroup, PermGroup):
-        h_gens = [g.images for g in subgroup.generators]
+        perms = subgroup.generators
         degree = subgroup.degree
     else:
         perms = [g if isinstance(g, Permutation) else Permutation(tuple(g)) for g in subgroup]
-        h_gens = [g.images for g in perms]
         degree = perms[0].degree if perms else group.degree
     if degree != group.degree:
         raise MixedDegree("subgroup degree differs from group degree")
+    h_gens = [_raw(g.images) for g in perms]
     for g in h_gens:
         if not group.contains_raw(g):
             raise NotASubgroup(f"element {Permutation(g).cycle_string()} is not in G")
@@ -578,7 +608,8 @@ def normal_test_and_closure(group: PermGroup, subgroup) -> tuple[bool, PermGroup
     # the closure's generators are printed (a quasiprimitivity witness, a
     # minimal normal subgroup), so they are the conjugates by every generator
     # of G in order, not by the walk list
-    g_gens = [(g.images, _inverse(g.images)) for g in group.generators]
+    g_raw = [_raw(g.images) for g in group.generators]
+    g_gens = [(g, _inverse(g)) for g in g_raw]
     closure_gens = list(h_gens)
     queue = list(h_gens)
     while queue:

@@ -279,6 +279,29 @@ def test_huge_group_degree_is_refused_before_building(capsys, tmp_path):
     assert peak < 2**20
 
 
+def test_huge_normal_degree_is_refused_before_building(capsys, tmp_path):
+    # the --normal file gets the same check as --group, with the error that
+    # a normal subgroup of another degree has always raised
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"degree": 10**9, "generators": ["(0 1)"]}))
+    run(capsys, "atlas", "get", "petersen")  # load the catalog before measuring
+    tracemalloc.start()
+    try:
+        code, out, err = run(
+            capsys, "quotient", "--atlas", "petersen", "--normal", str(path),
+            "--format", "json",
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and err == ""
+    assert json.loads(out) == {
+        "error": "MixedDegree",
+        "message": "group degree 1000000000 does not match 10 vertices",
+    }
+    assert peak < 2**20
+
+
 def test_atlas_get_with_empty_data_dir(tmp_path):
     # a fresh process, so an escaping exception would print a traceback
     src = os.path.dirname(os.path.dirname(os.path.abspath(geodex.__file__)))

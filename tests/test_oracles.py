@@ -109,7 +109,7 @@ def _assert_normal_structure_matches_oracle(group):
     want = oracles.minimal_normal_subgroups(group.generators, 10**4)
     minimal, socle = perm.normal_structure(group)
     assert [m.order() for m in minimal] == [len(m) for m in want]
-    assert {frozenset(m.raw_elements()) for m in minimal} == set(want)
+    assert {frozenset(map(tuple, m.raw_elements())) for m in minimal} == set(want)
     assert socle.order() == len(oracles._generated(sorted(set().union(*want)), group.degree))
 
 

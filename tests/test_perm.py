@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 import textwrap
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import geodex
+from geodex import atlas as A
 from geodex import perm
 from geodex.errors import (
     GroupTooLarge,
@@ -36,22 +38,28 @@ def permutation_pairs(draw, max_degree=12):
 
 
 class TestKernels:
-    """The image-tuple kernels against their naive definitions."""
+    """The raw-permutation kernels against their naive definitions."""
 
-    # degrees 1 and 2 take both sides of the itemgetter guard in _compose
+    # degree 1 stays bytes at threshold 1: the tuple path starts at degree 2
+    # there (at 257 in use), as itemgetter needs two keys to return a tuple
     @settings(max_examples=200, deadline=None)
-    @given(permutation_pairs())
-    @example(((0,), (0,)))
-    @example(((1, 0), (1, 0)))
-    @example(((0, 1), (1, 0)))
-    def test_compose_inverse_conjugate(self, pair):
+    @given(permutation_pairs(), st.sampled_from([perm._BYTES_DEGREE, 1]))
+    @example(((0,), (0,)), 1)
+    @example(((1, 0), (1, 0)), 1)
+    @example(((0, 1), (1, 0)), perm._BYTES_DEGREE)
+    def test_compose_inverse_conjugate(self, pair, threshold):
         p, q = pair
         n = len(p)
-        assert perm._compose(p, q) == tuple(q[p[i]] for i in range(n))
-        assert perm._inverse(p) == tuple(p.index(i) for i in range(n))
         q_inv = tuple(q.index(i) for i in range(n))
-        # q^-1 * p * q, applied left to right
-        assert perm._conjugate(p, q, q_inv) == tuple(q[p[q_inv[i]]] for i in range(n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(perm, "_BYTES_DEGREE", threshold)
+            rp, rq, rq_inv = perm._raw(p), perm._raw(q), perm._raw(q_inv)
+            assert type(rp) is (bytes if n <= threshold else tuple)
+            assert tuple(perm._compose(rp, rq)) == tuple(q[p[i]] for i in range(n))
+            assert tuple(perm._inverse(rp)) == tuple(p.index(i) for i in range(n))
+            # q^-1 * p * q, applied left to right
+            conjugate = perm._conjugate(rp, rq, rq_inv)
+            assert tuple(conjugate) == tuple(q[p[q_inv[i]]] for i in range(n))
 
     def test_chain_stores_inverse_transversals(self, foster_aut):
         group = build_group(foster_aut.generators)
@@ -60,7 +68,7 @@ class TestKernels:
             assert lvl.inverse.keys() == lvl.transversal.keys()
             for q, t in lvl.transversal.items():
                 assert t[lvl.point] == q
-                assert perm._compose(t, lvl.inverse[q]) == identity
+                assert tuple(perm._compose(t, lvl.inverse[q])) == identity
 
 
 class TestPermutation:
@@ -356,12 +364,26 @@ class TestNormalStructure:
 
 # The class walk and normal structure as they were before the walk list and
 # the prime-order closures: every element is conjugated by every generator,
-# and every nontrivial class representative is closed.  Their answers must
-# match the library's byte for byte.
+# and every nontrivial class representative is closed.  They work on image
+# tuples with itemgetter, whatever the library's raw form, and their answers
+# must match the library's byte for byte.
+
+def _tuple_compose(p, q):
+    # itemgetter returns a scalar for one key
+    return itemgetter(*p)(q) if len(p) > 1 else tuple(q[i] for i in p)
+
+
+def _tuple_inverse(p):
+    return tuple(p.index(i) for i in range(len(p)))
+
+
+def _tuple_conjugate(x, g, gi):
+    return _tuple_compose(_tuple_compose(gi, x), g)
+
 
 def _reference_class_reps(group):
-    elements = group.raw_elements()
-    gens = [(g.images, perm._inverse(g.images)) for g in group.generators]
+    elements = [tuple(e) for e in group.raw_elements()]
+    gens = [(g.images, _tuple_inverse(g.images)) for g in group.generators]
     unseen = set(elements)
     reps = []
     for e in elements:
@@ -372,7 +394,7 @@ def _reference_class_reps(group):
         while queue:
             x = queue.pop()
             for g, gi in gens:
-                y = perm._conjugate(x, g, gi)
+                y = _tuple_conjugate(x, g, gi)
                 if y not in cls:
                     cls.add(y)
                     queue.append(y)
@@ -382,17 +404,17 @@ def _reference_class_reps(group):
 
 
 def _reference_closure(group, x):
-    gens = [(g.images, perm._inverse(g.images)) for g in group.generators]
+    gens = [(g.images, _tuple_inverse(g.images)) for g in group.generators]
     closure = [x]
     chain = perm._build_chain(group.degree, closure)
     queue = [x]
     while queue:
         y = queue.pop()
         for g, gi in gens:
-            c = perm._conjugate(y, g, gi)
-            if not chain.contains(c):
+            c = _tuple_conjugate(y, g, gi)
+            if not chain.contains(perm._raw(c)):
                 closure.append(c)
-                chain.add_generator(c)
+                chain.add_generator(perm._raw(c))
                 queue.append(c)
     return perm._group_from_chain(group.degree, closure, chain)
 
@@ -459,7 +481,7 @@ class TestWalkList:
 
     @staticmethod
     def _check(group):
-        walk = group.walk()
+        walk = [tuple(w) for w in group.walk()]
         gens = iter(g.images for g in group.generators)
         assert all(w in gens for w in walk)  # a subsequence
         closure = [Permutation(w) for w in walk]
@@ -670,3 +692,164 @@ class TestRestriction:
         g = build_group([cyc(4, (0, 1, 2, 3))])
         with pytest.raises(PointOutOfRange):
             perm.restriction(g, [0, 1])
+
+
+# ---------------------------------------------------------------------------
+# the two raw forms: bytes up to degree 256, image tuples above
+# ---------------------------------------------------------------------------
+
+def _on_both_paths(answer):
+    """``answer()`` with raw permutations as bytes, and again with the bytes
+    threshold lowered to 1, so that every degree from 2 up takes the tuple
+    path.  (Degree 1 stays bytes: itemgetter needs two keys to return a
+    tuple, and in use the tuple path starts at degree 257.)"""
+    results = []
+    for threshold in (perm._BYTES_DEGREE, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(perm, "_BYTES_DEGREE", threshold)
+            results.append(answer())
+    return results
+
+
+def _group_values(gens, degree, partitions=()):
+    """Everything the structure layer reads off a group built from ``gens``,
+    with raw sequences as tuples."""
+    group = build_group(gens, degree=degree)
+    points = list(reversed(range(degree)))
+    perm.pointwise_stabilizer(group, points)  # memoizes every prefix
+    values = {
+        "base": group.base(),
+        "basic orbit sizes": group.basic_orbit_sizes(),
+        "walk": [tuple(w) for w in group.walk()],
+        "stabilizer orders": [
+            perm.pointwise_stabilizer(group, points[:k]).order() for k in range(1, degree + 1)
+        ],
+    }
+    if group.order() > 2 * 10**4:
+        return values
+    minimal, socle = perm.normal_structure(group)
+    values["elements"] = [tuple(e) for e in group.raw_elements()]
+    values["class reps"] = [r.images for r in perm.conjugacy_class_representatives(group)]
+    values["minimal normal"] = [[g.images for g in m.generators] for m in minimal]
+    values["socle order"] = socle.order()
+    actions = []
+    for cells in [perm.orbits(m) for m in minimal] + list(partitions):
+        quotient, kernel = perm.induced_action(group, cells)
+        actions.append(
+            (
+                [g.images for g in quotient.generators],
+                quotient.order(),
+                [g.images for g in kernel.generators],
+                kernel.order(),
+            )
+        )
+    values["induced actions"] = actions
+    return values
+
+
+class TestRawPaths:
+    """The bytes path and the tuple path give the same values."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(generator_sets(max_degree=9))
+    def test_random_groups(self, case):
+        n, gens = case
+        on_bytes, on_tuples = _on_both_paths(lambda: _group_values(gens, n))
+        assert on_bytes == on_tuples
+
+    def test_catalog_groups(self, ctx):
+        from geodex.graph import bipartition
+
+        cases = []
+        for name, group in _catalog_groups(ctx):
+            parts = bipartition(ctx.graph(name)) if " bipart " not in name else None
+            cases.append((name, group.generators, group.degree, [list(parts)] if parts else []))
+        for name, gens, degree, partitions in cases:
+            on_bytes, on_tuples = _on_both_paths(lambda: _group_values(gens, degree, partitions))
+            assert on_bytes == on_tuples, name
+            assert on_bytes["elements"], name  # every catalog group is listed
+
+    def test_membership_and_coset_graphs(self):
+        # fixed answers, which both paths must give
+        def answers():
+            s5 = build_group([cyc(5, (0, 1, 2, 3, 4)), cyc(5, (0, 1))])
+            a5 = build_group([cyc(5, (0, 1, 2)), cyc(5, (2, 3, 4))])
+            h = build_group([cyc(5, (0, 1, 2)), cyc(5, (0, 1)), cyc(5, (3, 4))])
+            g, t, c = cyc(5, (2, 3)), cyc(5, (0, 1)), cyc(5, (0, 1, 2))
+            membership = (
+                g in s5, g in a5, c in a5, cyc(6, (0, 1)) in s5,
+                a5.contains_raw((1, 2, 0, 3, 4)), a5.contains_raw([1, 2, 0, 3, 4]),
+                a5.contains_raw([1, 0, 2, 3, 4]), s5.contains_raw(perm._raw(t.images)),
+                perm.is_subgroup_of(a5, s5), perm.is_subgroup_of(s5, a5),
+                perm.normal_test_and_closure(s5, a5)[0],
+                perm.normal_test_and_closure(s5, [t, (1, 0, 2, 3, 4)])[1].order(),
+                (g * c).images, c.inverse().images,
+            )
+            cosets = A.coset_graph(s5, h, g).edges()
+            action = [p.images for p in A.coset_action(s5, h).generators]
+            z8 = [cyc(8, tuple(range(8)))]
+            for _ in range(7):
+                z8.append(z8[-1] * z8[0])
+            cayley = A.cayley_graph(z8, [z8[0], z8[6], z8[3]]).edges()
+            regular = [p.images for p in A.right_regular_action(z8, z8[:1]).generators]
+            return membership, cosets, action, cayley, regular
+
+        on_bytes, on_tuples = _on_both_paths(answers)
+        assert on_bytes == on_tuples
+        membership, cosets, action, cayley, regular = on_bytes
+        assert membership == (
+            True, False, True, False, True, True, False, True, True, False, True, 120,
+            (1, 2, 3, 0, 4), (2, 0, 1, 3, 4),
+        )
+        assert cosets == [
+            (0, 1), (0, 2), (0, 3), (0, 4), (0, 6), (0, 7), (1, 2), (1, 3), (1, 5),
+            (1, 6), (1, 8), (2, 4), (2, 5), (2, 7), (2, 8), (3, 4), (3, 5), (3, 6),
+            (3, 9), (4, 5), (4, 7), (4, 9), (5, 8), (5, 9), (6, 7), (6, 8), (6, 9),
+            (7, 8), (7, 9), (8, 9),
+        ]
+        assert action == [(6, 7, 0, 8, 1, 2, 9, 3, 4, 5), (0, 1, 2, 6, 7, 8, 3, 4, 5, 9)]
+        assert cayley == [
+            (0, 1), (0, 4), (0, 7), (1, 2), (1, 5), (2, 3), (2, 6), (3, 4), (3, 7),
+            (4, 5), (5, 6), (6, 7),
+        ]
+        assert regular == [(1, 2, 3, 4, 5, 6, 7, 0)]
+
+
+def _cycle_aut(n):
+    from geodex.graph import build_graph
+    from geodex.symmetry import automorphism_group
+
+    return automorphism_group(build_graph(n, [(i, (i + 1) % n) for i in range(n)]))
+
+
+class TestRawFormBoundary:
+    @pytest.mark.parametrize("n, form, minimal", [(256, bytes, [2]), (257, tuple, [257])])
+    def test_cycle_automorphism_groups(self, n, form, minimal):
+        group = _cycle_aut(n)
+        assert group.order() == 2 * n
+        assert group.base() == (0, 1) and group.basic_orbit_sizes() == (n, 2)
+        assert type(group._chain.identity) is form
+        assert all(type(w) is form for w in group.walk())
+        assert [m.order() for m in perm.normal_structure(group)[0]] == minimal
+        assert all(type(e) is form for e in group.raw_elements())
+
+    def test_induced_action_across_the_boundary(self, monkeypatch):
+        group = _cycle_aut(200)
+        assert type(group._chain.identity) is bytes
+        forms = {}
+        original = perm._build_chain
+
+        def recorded(degree, gens, base_hint=()):
+            chain = original(degree, gens, base_hint)
+            forms[degree] = type(chain.identity)
+            return chain
+
+        monkeypatch.setattr(perm, "_build_chain", recorded)
+        quotient, kernel = perm.induced_action(group, [(i, i + 100) for i in range(100)])
+        # the action on the 200 points and 100 pairs is one chain of 300 points
+        assert forms == {100: bytes, 300: tuple, 200: bytes}
+        assert (quotient.degree, quotient.order()) == (100, 200)
+        assert (kernel.degree, kernel.order()) == (200, 2)
+        assert [g.images for g in kernel.generators] == [
+            tuple(range(100, 200)) + tuple(range(100))
+        ]
