@@ -38,24 +38,34 @@ def _malformed(path: str, exc: Exception) -> BadInputFile:
     return BadInputFile(f"{path}: {detail}")
 
 
-def _load_graph_file(path: str) -> Graph:
+def _load_graph_file(path: str, searched: bool = False) -> Graph:
+    """The graph a file describes.  When ``searched`` (the command will run
+    the automorphism search), a JSON file's integer ``n`` or an LCF spec's
+    vertex count above the search cap raises GraphTooLarge before any vertex
+    is built, so a huge ``n`` allocates nothing."""
     stripped = _read_file(path).strip()
     try:
         if stripped.startswith("{"):
-            return graphmod.graph_from_json(json.loads(stripped))
+            data = json.loads(stripped)
+            n = data.get("n") if isinstance(data, dict) else None
+            if searched and type(n) is int:
+                symmod._check_search_cap(n)
+            return graphmod.graph_from_json(data)
         if stripped.startswith("["):
             offsets, repeat = graphmod.lcf_parse(stripped)
+            if searched:
+                symmod._check_search_cap(len(offsets) * repeat)
             return graphmod.lcf_decode(offsets, repeat)
         return graphmod.decode((stripped.splitlines() or [""])[0])
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise _malformed(path, exc) from exc
 
 
-def _resolve_graph(args) -> tuple[str, Graph]:
+def _resolve_graph(args, searched: bool = False) -> tuple[str, Graph]:
     if getattr(args, "atlas", None):
         record = atlasmod.atlas_get(args.atlas)
         return record.name, record.graph
-    return args.graph, _load_graph_file(args.graph)
+    return args.graph, _load_graph_file(args.graph, searched)
 
 
 def _load_group_file(path: str, n: int, mismatch=NotAutomorphisms) -> PermGroup:
@@ -144,7 +154,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_aut(args) -> int:
-    name, graph = _resolve_graph(args)
+    name, graph = _resolve_graph(args, searched=True)
     group = symmod.automorphism_group(graph)
     payload = {
         "name": name,
@@ -165,7 +175,7 @@ def cmd_aut(args) -> int:
 
 
 def cmd_transitivity(args) -> int:
-    name, graph = _resolve_graph(args)
+    name, graph = _resolve_graph(args, searched=not args.group)
     group = _resolve_group(args, graph)
     report = symmod.transitivity_degrees(graph, group)
     action = symmod.bi_analysis(graph, group)
@@ -203,7 +213,7 @@ def _auto_index(spec: str) -> int:
 
 
 def cmd_quotient(args) -> int:
-    name, graph = _resolve_graph(args)
+    name, graph = _resolve_graph(args, searched=not args.group)
     group = _resolve_group(args, graph)
     if args.normal == "auto" or args.normal.startswith("auto:"):
         index = _auto_index(args.normal)

@@ -1,11 +1,12 @@
 """Independent brute-force references for the verification suite.
 
-Everything here is deliberately naive: a vertex-by-vertex permutation
-backtrack that checks only adjacency among mapped vertices, DFS cycle scans,
-Floyd-Warshall distances, plain multiplication closure (optionally
-abandoned once it exceeds a size cap), and conjugation by every element of a
-listed group.  These implementations share no code paths with the production
-engines they check.
+Everything here is deliberately naive: an orbit-stabilizer count of
+automorphisms whose orbit tests are a vertex-by-vertex permutation backtrack
+that checks only degrees and adjacency among mapped vertices, DFS cycle
+scans, Floyd-Warshall distances, plain multiplication closure (optionally
+abandoned as soon as it holds more elements than a size cap), and
+conjugation by every element of a listed group.  These implementations share
+no code paths with the production engines they check.
 """
 
 from __future__ import annotations
@@ -16,39 +17,52 @@ from .graph import Graph
 
 
 def brute_force_automorphism_count(graph: Graph) -> int:
-    """Count automorphisms by a plain permutation backtrack.
+    """Count automorphisms by orbit-stabilizer: |Aut| is the product over
+    k = 0, ..., n-1 of the orbit length of k under the automorphisms that fix
+    0, ..., k-1.
 
-    Vertex 0, then 1, and so on is mapped to each unused target in
-    ``range(n)`` order; a partial map is dropped as soon as an edge or a
-    non-edge among its mapped vertices is broken.  No colours, distances,
-    degrees or search order are used, so every automorphism is one leaf and
-    the count equals that of testing all n! permutations.
+    With 0..k-1 fixed, each target t >= k is in the orbit of k when some
+    automorphism extends the partial map i -> i (i < k), k -> t.  That is
+    decided by a plain vertex-by-vertex backtrack that stops at its first
+    full map: vertex u is mapped to each unused target in ``range(n)``
+    order, and a partial map is dropped as soon as an edge or a non-edge
+    among its mapped vertices is broken.  The only invariant used is the
+    degree: u is mapped only to targets of the same degree, which no
+    automorphism can break.  No colours, distances or search order are used.
     """
     n = graph.n
     adjsets = graph.neighbor_sets()
+    degree = [len(nbrs) for nbrs in adjsets]
     image = [0] * n
     used = [False] * n
 
-    def extend(u: int) -> int:
-        if u == n:
-            return 1
+    def extends(u: int, t: int) -> bool:
+        """Whether some automorphism extends image[:u] by u -> t."""
+        if used[t] or degree[t] != degree[u]:
+            return False
         nbrs = adjsets[u]
-        count = 0
-        for t in range(n):
-            if used[t]:
-                continue
-            tnbrs = adjsets[t]
-            for q in range(u):
-                if (q in nbrs) != (image[q] in tnbrs):
-                    break
-            else:
-                image[u] = t
-                used[t] = True
-                count += extend(u + 1)
-                used[t] = False
-        return count
+        tnbrs = adjsets[t]
+        for q in range(u):
+            if (q in nbrs) != (image[q] in tnbrs):
+                return False
+        if u + 1 == n:
+            return True
+        image[u] = t
+        used[t] = True
+        found = False
+        for w in range(n):
+            if extends(u + 1, w):
+                found = True
+                break
+        used[t] = False
+        return found
 
-    return extend(0)
+    order = 1
+    for k in range(n):
+        order *= sum(extends(k, t) for t in range(k, n))
+        image[k] = k
+        used[k] = True
+    return order
 
 
 def naive_girth(graph: Graph) -> int | None:
@@ -129,8 +143,11 @@ def geodesics_by_filter(graph: Graph, s: int) -> list[tuple[int, ...]]:
 
 def _closure(gens, n: int, cap: int | None = None) -> set | None:
     """Every product of the image tuples ``gens`` on n points, by breadth-first
-    multiplication; None as soon as a frontier round leaves more than ``cap``."""
+    multiplication; None as soon as the set holds more than ``cap``."""
+    limit = float("inf") if cap is None else cap
     elements = {tuple(range(n))}
+    if len(elements) > limit:
+        return None
     frontier = list(elements)
     while frontier:
         fresh = []
@@ -139,9 +156,9 @@ def _closure(gens, n: int, cap: int | None = None) -> set | None:
                 prod = tuple(map(g.__getitem__, e))
                 if prod not in elements:
                     elements.add(prod)
+                    if len(elements) > limit:
+                        return None
                     fresh.append(prod)
-        if cap is not None and len(elements) > cap:
-            return None
         frontier = fresh
     return elements
 
@@ -161,8 +178,9 @@ def _generated(elements, n: int) -> set:
 def multiplication_closure_order(generators, cap: int | None = None) -> int | None:
     """Group order by closing the generator set under multiplication.
 
-    With ``cap``, gives up and returns None as soon as a frontier round leaves
-    more than ``cap`` elements, so the order is known to exceed ``cap``.
+    With ``cap``, gives up and returns None as soon as more than ``cap``
+    elements are found (the identity counts), so the order is known to
+    exceed ``cap``; at most ``cap + 1`` elements are ever held.
     """
     gens = [tuple(g.images) for g in generators]
     elements = _closure(gens, len(gens[0]) if gens else 0, cap)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geodex
-from geodex import cli
+from geodex import cli, symmetry
 from geodex import graph as G
 
 
@@ -300,6 +300,52 @@ def test_huge_normal_degree_is_refused_before_building(capsys, tmp_path):
         "message": "group degree 1000000000 does not match 10 vertices",
     }
     assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "spec, n",
+    [(json.dumps({"n": 300000, "edges": []}), 300000), ("[5,-5]^150000", 300000)],
+    ids=["json", "lcf"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["aut"], ["transitivity"], ["quotient", "--normal", "auto"]],
+    ids=["aut", "transitivity", "quotient"],
+)
+def test_huge_graph_file_is_refused_before_building(capsys, tmp_path, spec, n, command):
+    # a command that runs the automorphism search reads the vertex count
+    # first, so 300,000 vertices fail at once instead of after building them
+    path = tmp_path / "huge.txt"
+    path.write_text(spec)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *command, "--graph", str(path), "--format", "json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and err == ""
+    assert json.loads(out) == {
+        "error": "GraphTooLarge",
+        "message": f"{n} vertices exceeds the search cap 512",
+    }
+    assert peak < 2**20
+
+
+def test_graph_file_is_not_capped_without_a_search(capsys, tmp_path, monkeypatch):
+    # analyze and a --group question run no search, so the cap does not apply
+    monkeypatch.setattr(symmetry, "AUTOMORPHISM_VERTEX_CAP", 5)
+    graph = tmp_path / "c6.json"
+    graph.write_text(json.dumps({"n": 6, "edges": [[i, (i + 1) % 6] for i in range(6)]}))
+    group = tmp_path / "rotation.json"
+    group.write_text(json.dumps({"degree": 6, "generators": ["(0 1 2 3 4 5)"]}))
+    code, out, _ = run(capsys, "analyze", "--graph", str(graph), "--format", "json")
+    assert code == 0 and json.loads(out)["n"] == 6
+    code, out, _ = run(
+        capsys, "transitivity", "--graph", str(graph), "--group", str(group), "--format", "json"
+    )
+    assert code == 0 and json.loads(out)["group_order"] == 6
+    code, out, _ = run(capsys, "aut", "--graph", str(graph), "--format", "json")
+    assert code == 1 and json.loads(out)["error"] == "GraphTooLarge"
 
 
 def test_atlas_get_with_empty_data_dir(tmp_path):

@@ -1,6 +1,7 @@
-"""The oracles of claim 10 against their plain forms: the permutation-backtrack
-automorphism count against testing every permutation, and the capped closure
-against the uncapped one."""
+"""The oracles of claim 10 against their plain forms: the orbit-stabilizer
+automorphism count against a backtrack with one leaf per automorphism and
+against testing every permutation, and the capped closure against the
+uncapped one."""
 
 from __future__ import annotations
 
@@ -30,12 +31,52 @@ def _count_by_all_permutations(graph):
     return count
 
 
+def _count_by_leaves(graph):
+    """Automorphisms as the leaves of a plain permutation backtrack.
+
+    Vertex 0, then 1, and so on is mapped to each unused target in
+    ``range(n)`` order; a partial map is dropped as soon as an edge or a
+    non-edge among its mapped vertices is broken.  No degrees are used, so
+    every automorphism is one leaf.
+    """
+    n = graph.n
+    adjsets = graph.neighbor_sets()
+    image = [0] * n
+    used = [False] * n
+
+    def extend(u):
+        if u == n:
+            return 1
+        nbrs = adjsets[u]
+        count = 0
+        for t in range(n):
+            if used[t]:
+                continue
+            tnbrs = adjsets[t]
+            for q in range(u):
+                if (q in nbrs) != (image[q] in tnbrs):
+                    break
+            else:
+                image[u] = t
+                used[t] = True
+                count += extend(u + 1)
+                used[t] = False
+        return count
+
+    return extend(0)
+
+
+def _assert_three_counts_agree(graph):
+    want = _count_by_all_permutations(graph)
+    assert _count_by_leaves(graph) == want, graph.edges()
+    assert oracles.brute_force_automorphism_count(graph) == want, graph.edges()
+
+
 def test_backtrack_count_on_every_labeled_graph_up_to_5():
     graphs = list(oracles.all_labeled_connected_graphs(5))
     assert len(graphs) == 1 + 1 + 4 + 38 + 728
     for graph in graphs:
-        want = _count_by_all_permutations(graph)
-        assert oracles.brute_force_automorphism_count(graph) == want, graph.edges()
+        _assert_three_counts_agree(graph)
 
 
 def test_backtrack_count_on_relabeled_atlas_graphs_up_to_6():
@@ -51,16 +92,42 @@ def test_backtrack_count_on_relabeled_atlas_graphs_up_to_6():
         for _ in range(3):
             images = list(range(n))
             rng.shuffle(images)
-            graph = build_graph(n, [(images[u], images[v]) for u, v in hx.edges()])
-            want = _count_by_all_permutations(graph)
-            assert oracles.brute_force_automorphism_count(graph) == want, graph.edges()
+            _assert_three_counts_agree(
+                build_graph(n, [(images[u], images[v]) for u, v in hx.edges()])
+            )
         checked += 1
     assert checked == 1 + 1 + 2 + 6 + 21 + 112
 
 
+def test_backtrack_count_on_the_claim_10_corpus_up_to_7():
+    graphs = [g for g in verify._automorphism_corpus() if g.n <= 7]
+    assert len(graphs) == verify.CONNECTED_GRAPHS_UP_TO_7
+    for graph in graphs:
+        _assert_three_counts_agree(graph)
+
+
 def test_backtrack_count_of_the_empty_and_one_vertex_graphs():
-    assert oracles.brute_force_automorphism_count(build_graph(0, [])) == 1
-    assert oracles.brute_force_automorphism_count(build_graph(1, [])) == 1
+    for n in (0, 1):
+        graph = build_graph(n, [])
+        _assert_three_counts_agree(graph)
+        assert oracles.brute_force_automorphism_count(graph) == 1
+
+
+_BUILT = {
+    "K8": (8, list(itertools.combinations(range(8), 2))),
+    "cube": (8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
+                 (0, 4), (1, 5), (2, 6), (3, 7)]),
+}
+
+
+@pytest.mark.parametrize(
+    "name, order",
+    [("K8", 40320), ("cube", 48), ("k4,4", 1152), ("petersen", 120),
+     ("heawood", 336), ("desargues", 240)],
+)
+def test_backtrack_count_of_named_graphs(ctx, name, order):
+    graph = build_graph(*_BUILT[name]) if name in _BUILT else ctx.graph(name)
+    assert oracles.brute_force_automorphism_count(graph) == order
 
 
 def test_capped_closure_on_claim_10_cases(monkeypatch):

@@ -145,3 +145,41 @@ def test_unreadable_corpus_fails_claim_10(tmp_path, monkeypatch, content):
     result = verify.run_claim(verify.claim_oracle_equivalence, verify.VerificationContext())
     assert not result.passed
     assert result.detail.startswith("raised BadInputFile")
+
+
+def test_wrong_automorphism_order_fails_claim_10(monkeypatch):
+    from geodex import oracles, symmetry
+
+    idx = 500
+    target = list(verify._automorphism_corpus())[idx]
+    order = oracles.brute_force_automorphism_count(target)
+    search = symmetry.automorphism_group
+
+    class OffByOne:
+        def __init__(self, group):
+            self.group = group
+
+        def order(self):
+            return self.group.order() + 1
+
+    def mutated(graph):
+        group = search(graph)
+        if (graph.n, graph.edges()) == (target.n, target.edges()):
+            return OffByOne(group)
+        return group
+
+    monkeypatch.setattr(symmetry, "automorphism_group", mutated)
+    result = verify.run_claim(verify.claim_oracle_equivalence, verify.VerificationContext())
+    assert not result.passed
+    assert result.detail == f"aut corpus #{idx} (n={target.n}): {order + 1} != brute {order}"
+
+
+def test_group_above_the_closure_cap_is_checked_by_claim_10(monkeypatch):
+    from geodex import oracles
+
+    # a closure that gives up on every case: only the chain orders of the
+    # S8, S8 and A8 cases exceed the cap, so every other case must be named
+    monkeypatch.setattr(oracles, "multiplication_closure_order", lambda gens, cap=None: None)
+    failures = verify._group_order_oracle_failures()
+    assert len(failures) == 46 - 3
+    assert failures[0] == "C5: chain order 5 but closure exceeds 10000"
