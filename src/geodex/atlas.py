@@ -1,10 +1,12 @@
-"""Named graphs, finite fields, incidence geometries, and generic Cayley and
-coset graph builders.
+"""Named graphs, finite fields, incidence geometries, coset graphs, and the
+catalog.
 
 Every catalog record carries expected invariants; the cheap ones (valency,
 girth, diameter, intersection array) are re-verified when the record is
 built, the group-theoretic ones on demand via ``NamedGraphRecord.validate``
-or ``NamedGraphRecord.mismatches``.
+or ``NamedGraphRecord.mismatches``.  The catalog holds named graphs and four
+parameterized families, K{n},{n}, C{n}, PG(2,q) and W(q), whose rows are
+closed forms in the parameter.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import math
 import os
 import pathlib
+import re
 from dataclasses import asdict, dataclass
 from importlib import resources
 
@@ -21,13 +24,10 @@ from . import perm as permmod
 from . import symmetry as symmod
 from .errors import (
     BadInputFile,
-    ContainsIdentity,
     GeodexError,
     GInH,
     NotASubgroup,
     NotGenerated,
-    NotGenerating,
-    NotInverseClosed,
     NotSelfPaired,
     UnknownName,
     UnsupportedP,
@@ -275,68 +275,8 @@ def symplectic_quadrangle(q: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Cayley and coset graphs
+# coset graphs
 # ---------------------------------------------------------------------------
-
-def cayley_graph(elements, connection) -> Graph:
-    """Cayley graph on a group given by its element list.
-
-    ``elements``: every group element, as Permutation objects of one degree
-    (any faithful representation); ``connection``: the connection set S.
-    Vertices are the elements in sorted (right-regular) order; x ~ y iff
-    y x^{-1} lies in S.
-    """
-    elems = sorted({permmod._raw(g.images) for g in elements})
-    index = {img: i for i, img in enumerate(elems)}
-    s_set = {permmod._raw(g.images) for g in connection}
-    identity = permmod._raw(range(len(elems[0])))
-    if identity in s_set:
-        raise ContainsIdentity("connection set contains the identity")
-    for s in s_set:
-        if permmod._inverse(s) not in s_set:
-            raise NotInverseClosed(
-                f"inverse of {Permutation(s).cycle_string()} missing from S"
-            )
-        if s not in index:
-            raise ValueError("connection set must consist of group elements")
-    edges = []
-    for img, i in index.items():
-        for s in s_set:
-            target = permmod._compose(img, s)  # s * x in the right action
-            edges.append((i, index[target]))
-    graph = build_graph(len(elems), edges)
-    if not graph.connected:
-        raise NotGenerating("connection set does not generate the group")
-    return graph
-
-
-def cayley_graph_from_table(table, connection_indices) -> Graph:
-    """Cayley graph from an abstract multiplication table.
-
-    ``table[a][b]`` is the product ab; element 0 must be the identity.
-    The table is converted to the right regular permutation representation.
-    """
-    n = len(table)
-    if any(table[0][b] != b or table[b][0] != b for b in range(n)):
-        raise ValueError("element 0 must be the identity of the table")
-    elements = [Permutation(tuple(table[x][g] for x in range(n))) for g in range(n)]
-    connection = [elements[i] for i in connection_indices]
-    return cayley_graph(elements, connection)
-
-
-def right_regular_action(elements, generators) -> PermGroup:
-    """Right-multiplication action of ``generators`` on the sorted elements."""
-    elems = sorted({permmod._raw(g.images) for g in elements})
-    index = {img: i for i, img in enumerate(elems)}
-    gens = []
-    for g in generators:
-        g_raw = permmod._raw(g.images)
-        images = [0] * len(elems)
-        for img, i in index.items():
-            images[i] = index[permmod._compose(img, g_raw)]
-        gens.append(Permutation(tuple(images)))
-    return build_group(gens, degree=len(elems))
-
 
 def coset_graph(group: PermGroup, subgroup: PermGroup, g: Permutation) -> Graph:
     """Cos(G, H, HgH): right cosets of H, with Hx ~ Hy iff x y^{-1} in HgH.
@@ -574,14 +514,6 @@ def _petersen() -> Graph:
     return build_graph(10, edges)
 
 
-def _complete_bipartite(n: int) -> Graph:
-    return build_graph(2 * n, [(i, n + j) for i in range(n) for j in range(n)])
-
-
-def _cycle(n: int) -> Graph:
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
 def _cycle_array(n: int) -> str:
     d = n // 2
     b = [2] + [1] * (d - 1)
@@ -644,21 +576,115 @@ _ALIASES = {
 }
 
 
+def _knn_record(a: int, b: int) -> NamedGraphRecord:
+    if a != b or a < 2:
+        raise UnknownName(f"only balanced K{{n,n}} with n >= 2, not K{a},{b}")
+    return NamedGraphRecord(
+        name=f"k{a},{a}",
+        graph=build_graph(2 * a, [(i, a + j) for i in range(a) for j in range(a)]),
+        expected=ExpectedInvariants(
+            valency=a,
+            girth=4,
+            diameter=2,
+            intersection_array=f"{{{a},{a - 1};1,{a}}}",
+            aut_order=2 * math.factorial(a) ** 2,
+            arc_degree=3 if a >= 3 else 2,
+            geodesic_degree=2,
+        ),
+        source="complete bipartite construction",
+    )
+
+
+def _cycle_record(n: int) -> NamedGraphRecord:
+    if n < 3:
+        raise UnknownName(f"cycles need at least 3 vertices, not C{n}")
+    return NamedGraphRecord(
+        name=f"c{n}",
+        graph=build_graph(n, [(i, (i + 1) % n) for i in range(n)]),
+        expected=ExpectedInvariants(
+            valency=2,
+            girth=n,
+            diameter=n // 2,
+            intersection_array=_cycle_array(n),
+            aut_order=2 * n,
+            arc_degree=n // 2,
+            geodesic_degree=n // 2,
+        ),
+        source="cycle construction",
+        notes="arc degree reported at the valency-2 cap (cycles are "
+        "s-arc transitive for every s)",
+    )
+
+
+def _pg2_record(q: int) -> NamedGraphRecord:
+    graph = pg2_incidence(q)  # UnsupportedQ before the row needs q = p^e
+    return NamedGraphRecord(
+        name=f"pg(2,{q})",
+        graph=graph,
+        expected=ExpectedInvariants(
+            valency=q + 1,
+            girth=6,
+            diameter=3,
+            intersection_array=f"{{{q + 1},{q},{q};1,1,{q + 1}}}",
+            # PGammaL(3,q), and a polarity swapping points and lines
+            aut_order=2 * q**3 * (q**3 - 1) * (q**2 - 1) * finite_field(q).e,
+        ),
+        source=f"point-line incidence graph of PG(2,{q})",
+    )
+
+
+def _w_record(q: int) -> NamedGraphRecord:
+    graph = symplectic_quadrangle(q)  # UnsupportedQ before the row needs q = p^e
+    return NamedGraphRecord(
+        name=f"w({q})",
+        graph=graph,
+        expected=ExpectedInvariants(
+            valency=q + 1,
+            girth=8,
+            diameter=4,
+            intersection_array=f"{{{q + 1},{q},{q},{q};1,1,1,{q + 1}}}",
+            # PGammaSp(4,q); W(q) is self-dual exactly for even q
+            aut_order=q**4 * (q**2 - 1) * (q**4 - 1) * finite_field(q).e * (2 - q % 2),
+        ),
+        source=f"point-line incidence graph of the symplectic quadrangle W({q})",
+    )
+
+
+#: the parameterized families: (pattern over a lowercased name, record builder
+#: called with the pattern's integers).  The patterns match ASCII digits only:
+#: str.isdigit accepts a superscript two, which int() then rejects.
+_FAMILIES = (
+    (re.compile(r"k([0-9]+),([0-9]+)"), _knn_record),
+    (re.compile(r"c([0-9]+)"), _cycle_record),
+    (re.compile(r"pg\(2,([0-9]+)\)"), _pg2_record),
+    (re.compile(r"w\(([0-9]+)\)"), _w_record),
+)
+
+
 def atlas_list() -> list[str]:
-    """Concrete catalog names (the parameterized families appear as K{n,n}
-    and C{n} name patterns, e.g. "K3,3" and "C6")."""
+    """The named graphs, then "K3,3" and "C6", one member each of the
+    K{n},{n} and C{n} families.
+
+    The PG(2,q) and W(q) families are not listed: PG(2,2) and W(2) are
+    Heawood and Tutte-Coxeter, and a sweep over this list (claim 8) would
+    pay W(3)'s automorphism search, dearer than every listed graph's.
+    """
     return sorted(_CATALOG) + ["K3,3", "C6"]
 
 
 def atlas_get(name: str) -> NamedGraphRecord:
     """Fetch a catalog record, with its cheap invariants validated.
 
-    Accepts canonical names, recorded aliases, and the parameterized forms
-    "K{n},{n}" and "C{n}".
+    Accepts, in any case and with surrounding space ignored, the canonical
+    names, their recorded aliases, and the family forms "K{n},{n}" (n >= 2),
+    "C{n}" (n >= 3), "PG(2,q)" (q in 2, 3, 4, 5, 7, 8, 9) and "W(q)" (q in
+    2, 3, 4), the parameters written in ASCII digits.  Raises UnknownName
+    for any other name, UnsupportedQ for a PG(2,q) or W(q) that has no
+    construction, and AtlasValidationError if the graph fails a cheap
+    invariant of its row.
     """
     key = name.strip().lower()
     key = _ALIASES.get(key, key)
-    record = None
     if key in _CATALOG:
         entry = _CATALOG[key]
         record = NamedGraphRecord(
@@ -669,47 +695,13 @@ def atlas_get(name: str) -> NamedGraphRecord:
             aliases=tuple(entry.get("aliases", ())),
             notes=entry.get("notes", ""),
         )
-    elif key.startswith("k"):
-        parts = key[1:].split(",")
-        if len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
-            a, b = int(parts[0]), int(parts[1])
-            if a != b or a < 2:
-                raise UnknownName(f"only balanced K{{n,n}} with n >= 2: {name!r}")
-            record = NamedGraphRecord(
-                name=f"k{a},{a}",
-                graph=_complete_bipartite(a),
-                expected=ExpectedInvariants(
-                    valency=a,
-                    girth=4,
-                    diameter=2,
-                    intersection_array=f"{{{a},{a - 1};1,{a}}}",
-                    aut_order=2 * math.factorial(a) ** 2,
-                    arc_degree=3 if a >= 3 else 2,
-                    geodesic_degree=2,
-                ),
-                source="complete bipartite construction",
-            )
-    elif key.startswith("c") and key[1:].isdigit():
-        n = int(key[1:])
-        if n < 3:
-            raise UnknownName(f"cycles need at least 3 vertices: {name!r}")
-        record = NamedGraphRecord(
-            name=f"c{n}",
-            graph=_cycle(n),
-            expected=ExpectedInvariants(
-                valency=2,
-                girth=n,
-                diameter=n // 2,
-                intersection_array=_cycle_array(n),
-                aut_order=2 * n,
-                arc_degree=n // 2,
-                geodesic_degree=n // 2,
-            ),
-            source="cycle construction",
-            notes="arc degree reported at the valency-2 cap (cycles are "
-            "s-arc transitive for every s)",
-        )
-    if record is None:
-        raise UnknownName(f"no catalog entry named {name!r}")
+    else:
+        for pattern, build in _FAMILIES:
+            match = pattern.fullmatch(key)
+            if match:
+                record = build(*map(int, match.groups()))
+                break
+        else:
+            raise UnknownName(f"no catalog entry named {name!r}")
     record.validate(full=False)
     return record

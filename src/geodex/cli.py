@@ -40,9 +40,11 @@ def _malformed(path: str, exc: Exception) -> BadInputFile:
 
 def _load_graph_file(path: str, searched: bool = False) -> Graph:
     """The graph a file describes.  When ``searched`` (the command will run
-    the automorphism search), a JSON file's integer ``n`` or an LCF spec's
-    vertex count above the search cap raises GraphTooLarge before any vertex
-    is built, so a huge ``n`` allocates nothing."""
+    the automorphism search), a JSON file's integer ``n``, an LCF spec's
+    vertex count or a sparse6 header's n above the search cap raises
+    GraphTooLarge before any vertex is built, so a huge ``n`` allocates
+    nothing.  (A graph6 payload is as long as its n demands, so its size
+    bounds the build.)"""
     stripped = _read_file(path).strip()
     try:
         if stripped.startswith("{"):
@@ -56,7 +58,11 @@ def _load_graph_file(path: str, searched: bool = False) -> Graph:
             if searched:
                 symmod._check_search_cap(len(offsets) * repeat)
             return graphmod.lcf_decode(offsets, repeat)
-        return graphmod.decode((stripped.splitlines() or [""])[0])
+        line = (stripped.splitlines() or [""])[0]
+        sparse6 = graphmod._strip_header(line, "sparse6")
+        if searched and sparse6.startswith(":"):
+            symmod._check_search_cap(graphmod._g6_decode_n(sparse6[1:])[0])
+        return graphmod.decode(line)
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise _malformed(path, exc) from exc
 

@@ -139,18 +139,6 @@ class UnsupportedP(GeodexError):
     """Unsupported prime parameter."""
 
 
-class NotInverseClosed(GeodexError):
-    """Cayley connection set is not closed under inverses."""
-
-
-class ContainsIdentity(GeodexError):
-    """Cayley connection set contains the identity."""
-
-
-class NotGenerating(GeodexError):
-    """Cayley connection set does not generate the group (graph disconnected)."""
-
-
 class GInH(GeodexError):
     """Coset graph element g lies in H."""
 

@@ -501,16 +501,6 @@ def classify_shape(graph: Graph) -> ShapeInfo:
     )
 
 
-def standard_double_cover(graph: Graph) -> Graph:
-    """Graph on V x {0,1} with (u,0) ~ (v,1) iff u ~ v; always bipartite."""
-    n = graph.n
-    edges = []
-    for u, v in graph.edges():
-        edges.append((u, v + n))
-        edges.append((v, u + n))
-    return build_graph(2 * n, edges)
-
-
 # ---------------------------------------------------------------------------
 # LCF notation
 # ---------------------------------------------------------------------------
@@ -688,11 +678,3 @@ def decode(text: str) -> Graph:
         return sparse6_decode(s)
     return graph6_decode(s)
 
-
-def is_generalized_polygon(graph: Graph, d: int) -> bool:
-    """Bipartite with diameter d and girth 2d."""
-    if not graph.connected:
-        raise Disconnected("generalized polygons are connected")
-    if bipartition(graph) is None:
-        return False
-    return diameter(graph) == d and girth(graph) == 2 * d

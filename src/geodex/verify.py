@@ -122,19 +122,11 @@ def claim_biggs_smith_row(ctx: VerificationContext) -> list[str]:
 
 @_claim(3, "generalized polygon rows", budget=60.0)
 def claim_generalized_polygons(ctx: VerificationContext) -> list[str]:
+    # the cheap fields of the family rows: a full check would add W(3)'s
+    # automorphism search, which costs more than all the other rows together
     failures: list[str] = []
-    for q in (2, 3, 4):
-        graph = atlasmod.pg2_incidence(q)
-        want = f"{{{q + 1},{q},{q};1,1,{q + 1}}}"
-        _check(failures, f"pg2({q}) array", want, str(graphmod.intersection_array(graph)))
-        _check(failures, f"pg2({q}) girth", 6, graphmod.girth(graph))
-        _check(failures, f"pg2({q}) diameter", 3, graphmod.diameter(graph))
-    for q in (2, 3):
-        graph = atlasmod.symplectic_quadrangle(q)
-        want = f"{{{q + 1},{q},{q},{q};1,1,1,{q + 1}}}"
-        _check(failures, f"W({q}) array", want, str(graphmod.intersection_array(graph)))
-        _check(failures, f"W({q}) girth", 8, graphmod.girth(graph))
-        _check(failures, f"W({q}) diameter", 4, graphmod.diameter(graph))
+    for name in ("pg(2,2)", "pg(2,3)", "pg(2,4)", "w(2)", "w(3)"):
+        failures += [f"{name} {m}" for m in atlasmod.atlas_get(name).mismatches()]
     return failures
 
 

@@ -8,24 +8,14 @@ from geodex import atlas as A
 from geodex import perm
 from geodex import symmetry as S
 from geodex.errors import (
-    ContainsIdentity,
     GInH,
     NotGenerated,
-    NotGenerating,
-    NotInverseClosed,
     NotSelfPaired,
     UnknownName,
     UnsupportedP,
     UnsupportedQ,
 )
-from geodex.graph import (
-    count_arcs,
-    diameter,
-    girth,
-    intersection_array,
-    is_generalized_polygon,
-    lcf_decode,
-)
+from geodex.graph import count_arcs, girth, lcf_decode
 from geodex.perm import Permutation, build_group
 
 
@@ -78,12 +68,11 @@ class TestCatalog:
         assert A.atlas_get("delta-6-2").name == "hexagon-q2"
 
     def test_unknown_names(self):
-        with pytest.raises(UnknownName):
-            A.atlas_get("nonesuch")
-        with pytest.raises(UnknownName):
-            A.atlas_get("K2,3")
-        with pytest.raises(UnknownName):
-            A.atlas_get("C2")
+        # family parameters are ASCII digits: str.isdigit accepts a
+        # superscript two, which int() rejects
+        for name in ("nonesuch", "K2,3", "C2", "c\u00b2", "k\u00b2,\u00b2", "pg(3,2)", "w(2"):
+            with pytest.raises(UnknownName):
+                A.atlas_get(name)
 
     def test_knn_expected_values(self):
         record = A.atlas_get("K4,4")
@@ -126,124 +115,78 @@ class TestCatalog:
 
 
 class TestGeometries:
+    """The PG(2,q) and W(q) families of the catalog."""
+
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_pg2_rows(self, q):
-        graph = A.pg2_incidence(q)
-        assert graph.n == 2 * (q * q + q + 1)
-        assert graph.valency == q + 1
-        assert str(intersection_array(graph)) == f"{{{q + 1},{q},{q};1,1,{q + 1}}}"
-        assert is_generalized_polygon(graph, 3)
+        record = A.atlas_get(f"PG(2,{q})")
+        assert record.name == f"pg(2,{q})"
+        assert record.graph.n == 2 * (q * q + q + 1)
+        assert record.expected.valency == q + 1
+        assert record.expected.intersection_array == f"{{{q + 1},{q},{q};1,1,{q + 1}}}"
+        assert (record.expected.girth, record.expected.diameter) == (6, 3)
+        assert record.mismatches() == []
 
     def test_pg2_heawood(self):
-        assert S.are_isomorphic(A.pg2_incidence(2), lcf_decode([5, -5], 7)) is not None
+        assert S.are_isomorphic(A.atlas_get("pg(2,2)").graph, lcf_decode([5, -5], 7)) is not None
 
     @pytest.mark.parametrize("q", [5, 7, 8, 9])
     def test_pg2_larger_fields(self, q):
-        graph = A.pg2_incidence(q)
-        assert graph.n == 2 * (q * q + q + 1)
-        assert graph.valency == q + 1
-        assert girth(graph) == 6 and diameter(graph) == 3
+        record = A.atlas_get(f"pg(2,{q})")
+        assert record.graph.n == 2 * (q * q + q + 1)
+        assert record.expected.intersection_array == f"{{{q + 1},{q},{q};1,1,{q + 1}}}"
+        assert record.mismatches() == []
 
     def test_pg2_unsupported(self):
         with pytest.raises(UnsupportedQ):
-            A.pg2_incidence(6)
+            A.atlas_get("PG(2,6)")
         with pytest.raises(UnsupportedQ):
-            A.pg2_incidence(11)
+            A.atlas_get("PG(2,11)")
 
-    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("q", [2, 3, 4])
     def test_quadrangle_rows(self, q):
-        graph = A.symplectic_quadrangle(q)
-        assert graph.n == 2 * (q + 1) * (q * q + 1)
-        assert str(intersection_array(graph)) == f"{{{q + 1},{q},{q},{q};1,1,1,{q + 1}}}"
-        assert is_generalized_polygon(graph, 4)
+        record = A.atlas_get(f"W({q})")
+        assert record.name == f"w({q})"
+        assert record.graph.n == 2 * (q + 1) * (q * q + 1)
+        assert record.expected.valency == q + 1
+        assert record.expected.intersection_array == f"{{{q + 1},{q},{q},{q};1,1,1,{q + 1}}}"
+        assert (record.expected.girth, record.expected.diameter) == (8, 4)
+        assert record.mismatches() == []
 
     def test_quadrangle_is_tutte_coxeter(self, ctx):
-        iso = S.are_isomorphic(A.symplectic_quadrangle(2), ctx.graph("tutte-coxeter"))
+        iso = S.are_isomorphic(A.atlas_get("w(2)").graph, ctx.graph("tutte-coxeter"))
         assert iso is not None
 
     def test_quadrangle_unsupported(self):
         with pytest.raises(UnsupportedQ):
-            A.symplectic_quadrangle(5)
+            A.atlas_get("W(5)")
+
+    @pytest.mark.parametrize(
+        "name, order",
+        [("pg(2,2)", 336), ("pg(2,3)", 11232), ("pg(2,4)", 241920), ("pg(2,5)", 744000),
+         ("w(2)", 1440), ("w(3)", 51840)],
+    )
+    def test_closed_form_automorphism_orders(self, name, order):
+        # 2 |PGammaL(3,q)| with a polarity; |PGammaSp(4,q)|, doubled by a
+        # duality for even q.  PG(2,4) is the first with a field automorphism.
+        record = A.atlas_get(name)
+        assert record.expected.aut_order == order
+        assert record.mismatches(full=True) == []
 
     def test_geometry_automorphism_orders(self):
-        # 2 |PGL(3,3)| with the point-line duality; |PSp(4,3)| . 2 without one
-        assert S.automorphism_group(A.pg2_incidence(3)).order() == 11232
-        w3_aut = S.automorphism_group(A.symplectic_quadrangle(3))
+        # the search's own orders, and W(3)'s Aut fixes each bipart: W(3) is
+        # not self-dual
+        assert S.automorphism_group(A.atlas_get("pg(2,3)").graph).order() == 11232
+        w3_aut = S.automorphism_group(A.atlas_get("w(3)").graph)
         assert w3_aut.order() == 51840
         assert sorted(len(o) for o in perm.orbits(w3_aut)) == [40, 40]
 
-
-def _cyclic_elements(n):
-    g = cyc(n, tuple(range(n)))
-    elements = [Permutation.identity(n)]
-    cur = g
-    while not cur.is_identity():
-        elements.append(cur)
-        cur = cur * g
-    return g, elements
-
-
-class TestCayley:
-    def test_z5_pentagon(self):
-        g, elements = _cyclic_elements(5)
-        graph = A.cayley_graph(elements, [g, g.inverse()])
-        assert graph.n == 5 and graph.valency == 2 and girth(graph) == 5
-
-    def test_z6_circulant(self):
-        table = [[(a + b) % 6 for b in range(6)] for a in range(6)]
-        graph = A.cayley_graph_from_table(table, [1, 5, 3])
-        assert graph.n == 6 and graph.valency == 3 and girth(graph) == 4
-
-    def test_identity_rejected(self):
-        g, elements = _cyclic_elements(5)
-        with pytest.raises(ContainsIdentity):
-            A.cayley_graph(elements, [Permutation.identity(5), g])
-
-    def test_inverse_closure_required(self):
-        g, elements = _cyclic_elements(5)
-        with pytest.raises(NotInverseClosed):
-            A.cayley_graph(elements, [g])
-
-    def test_generation_required(self):
-        g, elements = _cyclic_elements(6)
-        sq = g * g
-        with pytest.raises(NotGenerating):
-            A.cayley_graph(elements, [sq, sq.inverse()])
-
-    def test_heisenberg_small_connection_set(self):
-        # the order-27 group with connection set {a, a^2, b, b^2}
-        p = 3
-        n = 27
-
-        def mul(x, y):
-            return ((x[0] + y[0]) % p, (x[1] + y[1]) % p, (x[2] + y[2] + x[0] * y[1]) % p)
-
-        def idx(e):
-            return (e[0] * p + e[1]) * p + e[2]
-
-        elements = []
-        for x in range(p):
-            for y in range(p):
-                for z in range(p):
-                    el = (x, y, z)
-                    elements.append(
-                        Permutation(tuple(idx(mul(f, el)) for f in
-                                          [( i // 9, (i // 3) % 3, i % 3) for i in range(n)]))
-                    )
-        a = (1, 0, 0)
-        b = (0, 1, 0)
-        conn = []
-        for el in (a, (2, 0, 0), b, (0, 2, 0)):
-            conn.append(Permutation(tuple(idx(mul((i // 9, (i // 3) % 3, i % 3), el)) for i in range(n))))
-        graph = A.cayley_graph(elements, conn)
-        assert graph.n == 27 and graph.valency == 4 and girth(graph) == 3
-
-    def test_vertex_transitive_by_construction(self):
-        g, elements = _cyclic_elements(8)
-        graph = A.cayley_graph(elements, [g, g.inverse(), g * g * g * g])
-        action = A.right_regular_action(elements, [g])
-        S.validate_automorphisms(graph, action)
-        assert action.is_transitive()
+    def test_families_stay_off_the_list(self):
+        # claim 8 and the benchmark's set-up sweep this list: no W(3) search
+        assert A.atlas_list() == [
+            "biggs-smith", "desargues", "foster", "heawood", "hexagon-q2",
+            "petersen", "tutte-coxeter", "K3,3", "C6",
+        ]
 
 
 class TestCosetGraph:

@@ -177,10 +177,12 @@ def test_unknown_atlas_name_text(capsys):
 
 
 def test_unknown_atlas_name_json(capsys):
-    code, out, _ = run(capsys, "atlas", "get", "nonesuch", "--format", "json")
-    assert code == 1
-    payload = json.loads(out)
-    assert payload["error"] == "UnknownName"
+    # a superscript digit passes str.isdigit but not int(): still an unknown name
+    for name in ("nonesuch", "c\u00b2", "k\u00b2,\u00b2"):
+        code, out, err = run(capsys, "atlas", "get", name, "--format", "json")
+        assert code == 1 and err == "", name
+        payload = json.loads(out)
+        assert payload["error"] == "UnknownName", name
 
 
 def test_usage_error_exit_code(capsys):
@@ -304,8 +306,12 @@ def test_huge_normal_degree_is_refused_before_building(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "spec, n",
-    [(json.dumps({"n": 300000, "edges": []}), 300000), ("[5,-5]^150000", 300000)],
-    ids=["json", "lcf"],
+    [
+        (json.dumps({"n": 300000, "edges": []}), 300000),
+        ("[5,-5]^150000", 300000),
+        (":~~??@HN_", 300000),  # a 6-byte sparse6 vertex count and no edges
+    ],
+    ids=["json", "lcf", "sparse6"],
 )
 @pytest.mark.parametrize(
     "command",

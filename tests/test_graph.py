@@ -278,35 +278,6 @@ class TestShapes:
         assert shape.complete_multipartite
         assert len(shape.parts) == 4
 
-    def test_generalized_polygons(self, k33, ctx, foster):
-        assert G.is_generalized_polygon(k33, 2)
-        assert G.is_generalized_polygon(ctx.graph("heawood"), 3)
-        assert not G.is_generalized_polygon(foster, 5)
-
-
-class TestDoubleCover:
-    def test_k2_cover_is_two_edges(self):
-        k2 = G.build_graph(2, [(0, 1)])
-        cover = G.standard_double_cover(k2)
-        assert cover.n == 4 and cover.m == 2
-        assert not cover.connected
-
-    def test_c5_cover_is_c10(self, ctx):
-        from geodex.symmetry import are_isomorphic
-        from geodex.atlas import atlas_get
-
-        cover = G.standard_double_cover(atlas_get("c5").graph)
-        assert are_isomorphic(cover, atlas_get("c10").graph) is not None
-
-    def test_petersen_cover_is_desargues(self, petersen, ctx):
-        from geodex.symmetry import are_isomorphic
-
-        cover = G.standard_double_cover(petersen)
-        assert cover.n == 20
-        assert G.bipartition(cover) is not None
-        assert G.girth(cover) == 6
-        assert are_isomorphic(cover, ctx.graph("desargues")) is not None
-
 
 class TestLCF:
     def test_k4(self):

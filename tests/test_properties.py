@@ -62,17 +62,6 @@ def test_geodesics_are_arcs(graph, s):
 
 
 @_settings
-@given(graphs())
-def test_double_cover_bipartite_and_connectivity(graph):
-    cover = G.standard_double_cover(graph)
-    assert cover.n == 2 * graph.n
-    assert G.bipartition(cover) is not None
-    if graph.n > 0:
-        expected = graph.connected and G.bipartition(graph) is None
-        assert cover.connected == expected
-
-
-@_settings
 @given(graphs(max_n=16))
 def test_graph6_round_trip(graph):
     assert G.graph6_decode(G.graph6_encode(graph)).adjacency == graph.adjacency

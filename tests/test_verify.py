@@ -92,6 +92,27 @@ def test_claim_1_reads_the_catalog_row(monkeypatch):
     assert result.detail == "aut_order: expected 4321, got 4320"
 
 
+def test_claim_3_reads_the_family_rows(monkeypatch):
+    # a wrong closed form for one member of one family fails the claim, which
+    # names the graph and the field
+    def lying_w(q):
+        record = atlas._w_record(q)
+        if q != 3:
+            return record
+        return dataclasses.replace(
+            record, expected=dataclasses.replace(record.expected, diameter=5)
+        )
+
+    families = tuple(
+        (pattern, lying_w if build is atlas._w_record else build)
+        for pattern, build in atlas._FAMILIES
+    )
+    monkeypatch.setattr(atlas, "_FAMILIES", families)
+    result = verify.run_claim(verify.claim_generalized_polygons, verify.VerificationContext())
+    assert not result.passed
+    assert result.detail == "raised AtlasValidationError: w(3): diameter: expected 5, got 4"
+
+
 def test_corpus_is_the_connected_atlas_graphs_in_order():
     nx = pytest.importorskip("networkx")
     want = [
