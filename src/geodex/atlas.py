@@ -26,6 +26,7 @@ from .errors import (
     BadInputFile,
     GeodexError,
     GInH,
+    GraphTooLarge,
     NotASubgroup,
     NotGenerated,
     NotSelfPaired,
@@ -576,9 +577,17 @@ _ALIASES = {
 }
 
 
+def _check_family_size(name: str, n: int) -> None:
+    if n > symmod.AUTOMORPHISM_VERTEX_CAP:
+        raise GraphTooLarge(
+            f"{name} has {n} vertices, past the search cap {symmod.AUTOMORPHISM_VERTEX_CAP}"
+        )
+
+
 def _knn_record(a: int, b: int) -> NamedGraphRecord:
     if a != b or a < 2:
         raise UnknownName(f"only balanced K{{n,n}} with n >= 2, not K{a},{b}")
+    _check_family_size(f"K{a},{a}", 2 * a)
     return NamedGraphRecord(
         name=f"k{a},{a}",
         graph=build_graph(2 * a, [(i, a + j) for i in range(a) for j in range(a)]),
@@ -598,6 +607,7 @@ def _knn_record(a: int, b: int) -> NamedGraphRecord:
 def _cycle_record(n: int) -> NamedGraphRecord:
     if n < 3:
         raise UnknownName(f"cycles need at least 3 vertices, not C{n}")
+    _check_family_size(f"C{n}", n)
     return NamedGraphRecord(
         name=f"c{n}",
         graph=build_graph(n, [(i, (i + 1) % n) for i in range(n)]),
@@ -661,6 +671,23 @@ _FAMILIES = (
 )
 
 
+def _family_parameter(digits: str) -> int:
+    """A family parameter read from its ASCII digits.
+
+    Every family has at least as many vertices as its parameter, so a
+    parameter with more digits than the search cap is refused before int():
+    int() would raise ValueError past 4300 digits, and the build would run
+    unbounded.
+    """
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(symmod.AUTOMORPHISM_VERTEX_CAP)):
+        raise GraphTooLarge(
+            f"a family parameter of {len(digits)} digits is past the search cap "
+            f"{symmod.AUTOMORPHISM_VERTEX_CAP}"
+        )
+    return int(digits)
+
+
 def atlas_list() -> list[str]:
     """The named graphs, then "K3,3" and "C6", one member each of the
     K{n},{n} and C{n} families.
@@ -680,7 +707,9 @@ def atlas_get(name: str) -> NamedGraphRecord:
     "C{n}" (n >= 3), "PG(2,q)" (q in 2, 3, 4, 5, 7, 8, 9) and "W(q)" (q in
     2, 3, 4), the parameters written in ASCII digits.  Raises UnknownName
     for any other name, UnsupportedQ for a PG(2,q) or W(q) that has no
-    construction, and AtlasValidationError if the graph fails a cheap
+    construction, GraphTooLarge for a family member with more vertices than
+    the search cap (K{n},{n} for n > 256, C{n} for n > 512), checked before
+    it is built, and AtlasValidationError if the graph fails a cheap
     invariant of its row.
     """
     key = name.strip().lower()
@@ -699,7 +728,7 @@ def atlas_get(name: str) -> NamedGraphRecord:
         for pattern, build in _FAMILIES:
             match = pattern.fullmatch(key)
             if match:
-                record = build(*map(int, match.groups()))
+                record = build(*map(_family_parameter, match.groups()))
                 break
         else:
             raise UnknownName(f"no catalog entry named {name!r}")

@@ -3,8 +3,9 @@ deciders for finite graphs with explicit permutation groups.
 
 The automorphism engine is a backtracking search over partial vertex maps,
 pruned by equitable-partition colors and full distance consistency against
-every mapped vertex.  It fixes its base by refinement alone, then settles the
-levels deepest first, as nauty does (McKay & Piperno, *Practical graph
+every mapped vertex.  It fixes its base by refinement alone, each level
+branching on the least vertex of a largest non-singleton cell, then settles
+the levels deepest first, as nauty does (McKay & Piperno, *Practical graph
 isomorphism II*, 2014): the generators of the deeper levels fix every earlier
 base point, so their orbits carry a refuted target's failure to the targets
 it reaches, and those searches are skipped.  It reads |Aut| off its own
@@ -216,9 +217,14 @@ def _base_levels(graph: Graph):
     level, top-down, until the refined partition is discrete.
 
     Each level individualizes the earlier levels' branch vertices, refines,
-    and branches on the least vertex of a smallest non-singleton cell (lowest
-    color on ties).  The base depends only on refinement, never on what a
-    search finds.
+    and branches on the least vertex of a largest non-singleton cell (lowest
+    color on ties), the cell rule of McKay & Piperno (2014).  A small cell
+    left over by refinement is often a union of fixed points of the prefix
+    stabilizer: on PG(2,q), once a point and three lines through it are
+    fixed, so is every line through it, yet refinement keeps the rest in one
+    cell, and every search into that cell fails.  The largest cell avoids them there (PG(2,5)
+    and W(4) at catalog labels settle with no failing search).  The base
+    depends only on refinement, never on what a search finds.
     """
     n = graph.n
     base_colors = _refine(graph.adjacency, [0] * n)
@@ -234,7 +240,7 @@ def _base_levels(graph: Graph):
         cells: dict[int, list[int]] = {}
         for u, c in enumerate(level_colors):
             cells.setdefault(c, []).append(u)
-        candidates = [(len(cell), c, cell) for c, cell in cells.items() if len(cell) > 1]
+        candidates = [(-len(cell), c, cell) for c, cell in cells.items() if len(cell) > 1]
         if not candidates:
             return levels
         _, _, branch = min(candidates, key=lambda item: item[:2])

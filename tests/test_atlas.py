@@ -9,6 +9,7 @@ from geodex import perm
 from geodex import symmetry as S
 from geodex.errors import (
     GInH,
+    GraphTooLarge,
     NotGenerated,
     NotSelfPaired,
     UnknownName,
@@ -73,6 +74,26 @@ class TestCatalog:
         for name in ("nonesuch", "K2,3", "C2", "c\u00b2", "k\u00b2,\u00b2", "pg(3,2)", "w(2"):
             with pytest.raises(UnknownName):
                 A.atlas_get(name)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["c" + "1" * 5000, "k" + "9" * 5000 + ",3", "pg(2," + "7" * 5000 + ")",
+         "c513", "k257,257", "c0010000"],
+    )
+    def test_family_size_refused_before_build(self, monkeypatch, name):
+        # past 4300 digits int() raises ValueError; past the search cap the
+        # build would run unbounded.  Both are refused before any build.
+        def no_build(*args):
+            raise AssertionError("built a graph past the cap")
+
+        monkeypatch.setattr(A, "build_graph", no_build)
+        monkeypatch.setattr(A, "pg2_incidence", no_build)
+        with pytest.raises(GraphTooLarge):
+            A.atlas_get(name)
+
+    def test_family_size_at_the_cap(self):
+        assert A.atlas_get("C512").graph.n == 512
+        assert A.atlas_get("c" + "0" * 5000 + "6").name == "c6"
 
     def test_knn_expected_values(self):
         record = A.atlas_get("K4,4")
@@ -164,7 +185,7 @@ class TestGeometries:
     @pytest.mark.parametrize(
         "name, order",
         [("pg(2,2)", 336), ("pg(2,3)", 11232), ("pg(2,4)", 241920), ("pg(2,5)", 744000),
-         ("w(2)", 1440), ("w(3)", 51840)],
+         ("w(2)", 1440), ("w(3)", 51840), ("w(4)", 3916800)],
     )
     def test_closed_form_automorphism_orders(self, name, order):
         # 2 |PGammaL(3,q)| with a polarity; |PGammaSp(4,q)|, doubled by a

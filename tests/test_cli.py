@@ -185,6 +185,13 @@ def test_unknown_atlas_name_json(capsys):
         assert payload["error"] == "UnknownName", name
 
 
+def test_huge_family_parameter_json(capsys):
+    # 5000 digits: past int()'s conversion limit, refused on the digit string
+    code, out, err = run(capsys, "atlas", "get", "c" + "1" * 5000, "--format", "json")
+    assert code == 1 and err == ""
+    assert json.loads(out)["error"] == "GraphTooLarge"
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["analyze"])  # missing graph source

@@ -506,16 +506,17 @@ class TestWalkList:
             self._check(closure)
 
     def test_catalog_walk_lengths(self, ctx):
-        # Foster 7 -> 2, Biggs-Smith 8 -> 3, Tutte-Coxeter 7 -> 2, hexagon-q2 9 -> 2
+        # generators -> walk: Foster 5 -> 2, Biggs-Smith 5 -> 3,
+        # Tutte-Coxeter 7 -> 2, hexagon-q2 7 -> 2
         lengths = {
             name: (len(ctx.aut(name).generators), len(ctx.aut(name).walk()))
             for name in ("foster", "biggs-smith", "tutte-coxeter", "hexagon-q2")
         }
         assert lengths == {
-            "foster": (7, 2),
-            "biggs-smith": (8, 3),
+            "foster": (5, 2),
+            "biggs-smith": (5, 3),
             "tutte-coxeter": (7, 2),
-            "hexagon-q2": (9, 2),
+            "hexagon-q2": (7, 2),
         }
         self._check(ctx.aut("biggs-smith"))
 

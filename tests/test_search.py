@@ -428,7 +428,8 @@ def test_automorphism_count_agrees_with_networkx():
 def _reference_automorphism_group(graph):
     """``automorphism_group`` as it was before its levels were settled deepest
     first: each level in turn, top-down, with a candidate skipped only when
-    its orbit under that level's own generators meets a refuted point."""
+    its orbit under that level's own generators meets a refuted point.  It
+    branches on the library's cell, a largest one, lowest color on ties."""
     base_colors = S._refine(graph.adjacency, [0] * graph.n)
     n = graph.n
     gens_raw = []
@@ -442,7 +443,7 @@ def _reference_automorphism_group(graph):
         cells: dict[int, list[int]] = {}
         for u, c in enumerate(level_colors):
             cells.setdefault(c, []).append(u)
-        candidates = [(len(cell), c, cell) for c, cell in cells.items() if len(cell) > 1]
+        candidates = [(-len(cell), c, cell) for c, cell in cells.items() if len(cell) > 1]
         if not candidates:
             break
         _, _, branch = min(candidates, key=lambda item: item[:2])
@@ -531,6 +532,26 @@ def test_deeper_generators_skip_failing_searches(monkeypatch):
     failures.clear()
     assert S.automorphism_group(w3).order() == 51840
     assert (top_down, sum(failures)) == (4, 1)
+
+
+@pytest.mark.parametrize("name, order", [("PG(2,5)", 744000), ("W(4)", 3916800)])
+def test_largest_cell_branching_has_no_failing_search(monkeypatch, name, order):
+    # once a point and three lines through it are fixed, PGL(2,q) on the
+    # pencil fixes every line of it, but refinement keeps the others in one
+    # small cell, where every search fails; on these graphs a largest cell
+    # is never such a leftover
+    graph = atlas_get(name).graph
+    original = S._search_map
+    failures = []
+
+    def counted(g1, g2, colors1, colors2, seeds):
+        found = original(g1, g2, colors1, colors2, seeds)
+        failures.append(found is None)
+        return found
+
+    monkeypatch.setattr(S, "_search_map", counted)
+    assert S.automorphism_group(graph).order() == order
+    assert sum(failures) == 0
 
 
 # ---------------------------------------------------------------------------
