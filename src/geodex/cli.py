@@ -211,11 +211,22 @@ def cmd_transitivity(args) -> int:
 
 
 def _auto_index(spec: str) -> int:
-    """k of ``auto[:k]``; a bare ``auto`` (or ``auto:``) means 0."""
+    """k of ``auto[:k]``; a bare ``auto`` (or ``auto:``) means 0.
+
+    normal_structure lists at most ENUMERATION_CAP elements, so a k with more
+    digits than the cap is past every candidate list: it is refused on its
+    digit string, before int() (which raises ValueError past 4300 digits).
+    """
     text = spec.partition(":")[2] or "0"
     if not text.isdecimal():
         raise BadOption(f"--normal {spec}: k must be a non-negative integer")
-    return int(text)
+    digits = text.lstrip("0") or "0"
+    if len(digits) > len(str(permmod.ENUMERATION_CAP)):
+        raise BadOption(
+            f"--normal auto:k: a k of {len(digits)} digits is past every candidate"
+            f" list (at most {permmod.ENUMERATION_CAP} elements are listed)"
+        )
+    return int(digits)
 
 
 def cmd_quotient(args) -> int:

@@ -339,62 +339,6 @@ def count_geodesics(graph: Graph, s: int) -> int:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class IntersectionData:
-    """Per-level (a_i, b_i, c_i) counts around one base vertex.
-
-    levels[i] is an (a, b, c) triple, or None when vertices of the i-th
-    distance layer disagree; a disagreeing pair is then recorded in
-    witnesses[i].
-    """
-
-    base: int
-    levels: tuple[tuple[int, int, int] | None, ...]
-    witnesses: dict[int, tuple[int, int]]
-
-    @property
-    def defined(self) -> bool:
-        return all(level is not None for level in self.levels)
-
-    @property
-    def eccentricity(self) -> int:
-        return len(self.levels) - 1
-
-
-def intersection_data(graph: Graph, u: int) -> IntersectionData:
-    dist = distances(graph, u)
-    ecc = max(dist)
-    layers: list[list[int]] = [[] for _ in range(ecc + 1)]
-    for v, d in enumerate(dist):
-        layers[d].append(v)
-    levels: list[tuple[int, int, int] | None] = []
-    witnesses: dict[int, tuple[int, int]] = {}
-    for i, layer in enumerate(layers):
-        triple = None
-        witness = None
-        for v in layer:
-            a = b = c = 0
-            for w in graph.adjacency[v]:
-                if dist[w] == i:
-                    a += 1
-                elif dist[w] == i + 1:
-                    b += 1
-                else:
-                    c += 1
-            if triple is None:
-                triple = (a, b, c)
-                first = v
-            elif triple != (a, b, c):
-                witness = (first, v)
-                break
-        if witness is not None:
-            levels.append(None)
-            witnesses[i] = witness
-        else:
-            levels.append(triple)
-    return IntersectionData(u, tuple(levels), witnesses)
-
-
-@dataclass(frozen=True)
 class IntersectionArray:
     """Global array {b_0, ..., b_{d-1}; c_1, ..., c_d} of a distance-regular graph."""
 
@@ -419,16 +363,31 @@ def intersection_array(graph: Graph) -> IntersectionArray | None:
 
 
 def _intersection_array(graph: Graph) -> IntersectionArray | None:
+    """One pass over the distance table: against each row, every vertex at
+    distance d counts its neighbors at distance d (a) and d + 1 (b), with
+    c = degree - a - b.  Each level must hold one triple in every row, and
+    every row must give row 0's levels."""
+    adjacency = graph.adjacency
     reference = None
-    for u in range(graph.n):
-        data = intersection_data(graph, u)
-        if not data.defined:
-            return None
+    for row in distance_matrix(graph):
+        levels = [None] * (max(row) + 1)
+        for v, d in enumerate(row):
+            a = b = 0
+            for w in adjacency[v]:
+                dw = row[w]
+                if dw == d:
+                    a += 1
+                elif dw > d:
+                    b += 1
+            triple = (a, b, len(adjacency[v]) - a - b)
+            if levels[d] is None:
+                levels[d] = triple
+            elif levels[d] != triple:
+                return None
         if reference is None:
-            reference = data.levels
-        elif data.levels != reference:
+            reference = levels
+        elif levels != reference:
             return None
-    assert reference is not None
     b = tuple(level[1] for level in reference[:-1])
     c = tuple(level[2] for level in reference[1:])
     return IntersectionArray(b, c)

@@ -163,6 +163,10 @@ def girth_bound_check(graph: Graph, result: QuotientResult, s: int) -> GirthBoun
         raise PreconditionUnverified("cover", "quotient is not a cover")
     if s < 2:
         raise PreconditionUnverified("s >= 2", f"got s={s}")
+    if s > graph.n:
+        # past n the window's lower end 2s-4 exceeds n >= girth, so no answer
+        # is lost, and first_arc's DFS stack would hold O(s^2) ints
+        raise PreconditionUnverified("s <= n", f"got s={s} on a cover of {graph.n} vertices")
     g_cover, g_quot = result.girth_pair
     premises = {
         "cover": True,

@@ -204,12 +204,17 @@ def test_deterministic_output(capsys):
     assert first == second
 
 
-@pytest.mark.parametrize("spec", ["auto:x", "auto:-1", "auto:1.0"])
+_HUGE_AUTO = "auto:" + "1" * 5000  # past int()'s 4300-digit limit
+
+
+@pytest.mark.parametrize(
+    "spec", ["auto:x", "auto:-1", "auto:1.0", pytest.param(_HUGE_AUTO, id="auto:5000-digits")]
+)
 def test_quotient_auto_index_malformed(capsys, spec):
-    code, out, _ = run(
+    code, out, err = run(
         capsys, "quotient", "--atlas", "foster", "--normal", spec, "--format", "json"
     )
-    assert code == 1
+    assert code == 1 and err == ""
     assert json.loads(out)["error"] == "BadOption"
 
 
@@ -222,6 +227,19 @@ def test_quotient_auto_index_out_of_range(capsys):
     payload = json.loads(out)
     assert payload["error"] == "BadOption"
     assert "only 1" in payload["message"]
+
+
+def test_quotient_s_past_vertex_count(capsys):
+    # Foster has 90 vertices: no girth window exists at s = 91, and the check
+    # refuses it before building an arc of that length
+    code, out, err = run(
+        capsys, "quotient", "--atlas", "foster", "--normal", "auto", "--s", "91",
+        "--format", "json",
+    )
+    assert code == 1 and err == ""
+    payload = json.loads(out)
+    assert payload["error"] == "PreconditionUnverified"
+    assert "s <= n" in payload["message"]
 
 
 def test_missing_graph_file(capsys, tmp_path):
@@ -488,7 +506,7 @@ def test_fuzzed_cli_inputs(tmp_path_factory, data):
         if command in ("transitivity", "quotient") and draw(st.booleans()):
             argv += ["--group", str(group_file)]
         if command == "quotient":
-            normal = draw(st.sampled_from(["auto", "auto:1", "auto:x", "file"]))
+            normal = draw(st.sampled_from(["auto", "auto:1", "auto:x", _HUGE_AUTO, "file"]))
             argv += ["--normal", str(normal_file) if normal == "file" else normal]
             if draw(st.booleans()):
                 argv += ["--s", str(draw(st.integers(-2, 6)))]

@@ -198,60 +198,79 @@ class TestIntersectionData:
         assert str(G.intersection_array(foster)) == "{3,2,2,2,2,1,1,1;1,1,1,1,2,2,2,3}"
 
     def test_sum_rule_and_counts(self, foster):
-        data = G.intersection_data(foster, 0)
-        assert data.defined
+        # k_i b_i = k_{i+1} c_{i+1} on vertex 0's layer sizes k_i, and each
+        # layer-i vertex has a_i = 3 - b_i - c_i neighbors in its own layer
+        array = G.intersection_array(foster)
+        b, c = array.b + (0,), (0,) + array.c
         dist = G.distances(foster, 0)
         sizes = [dist.count(i) for i in range(max(dist) + 1)]
-        for i, (a, b, c) in enumerate(data.levels):
-            assert a + b + c == 3
-            if i + 1 < len(sizes):
-                next_c = data.levels[i + 1][2]
-                assert sizes[i + 1] * next_c == sizes[i] * b
+        assert len(sizes) == array.diameter + 1
+        for i, size in enumerate(sizes):
+            layer = [v for v in range(foster.n) if dist[v] == i]
+            inner = sum(dist[w] == i for v in layer for w in foster.adjacency[v])
+            assert inner == size * (3 - b[i] - c[i])
+            if i < array.diameter:
+                assert sizes[i + 1] * c[i + 1] == size * b[i]
 
     def test_irregular_rejected(self):
         path = G.build_graph(3, [(0, 1), (1, 2)])
         with pytest.raises(NotRegular):
             G.intersection_array(path)
+        # regularity is checked first: an irregular disconnected graph is
+        # NotRegular, a regular one Disconnected
+        star_and_triangle = G.build_graph(7, [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (6, 4)])
+        with pytest.raises(NotRegular):
+            G.intersection_array(star_and_triangle)
+        two_triangles = G.build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+        with pytest.raises(Disconnected):
+            G.intersection_array(two_triangles)
 
     def test_array_computed_once_per_graph(self, monkeypatch):
         from geodex import symmetry
         from geodex.atlas import atlas_get
 
-        bases = []
-        original = G.intersection_data
+        calls = []
+        original = G._intersection_array
 
-        def counted(graph, u):
-            bases.append(u)
-            return original(graph, u)
+        def counted(graph):
+            calls.append(graph)
+            return original(graph)
 
-        monkeypatch.setattr(G, "intersection_data", counted)
+        monkeypatch.setattr(G, "_intersection_array", counted)
         foster = atlas_get("foster").graph  # validation reads the array
         aut = symmetry.automorphism_group(foster)
         symmetry.transitivity_degrees(foster, aut)
         symmetry.weiss_divisibility_check(foster, aut, 5)
-        assert sorted(bases) == list(range(foster.n))
+        assert calls == [foster]
 
-    def test_undefined_level_carries_witness(self):
-        # a regular graph that is not distance-regular: the 6-cycle plus one
-        # long chord's endpoints behave differently... use the prism K3 x K2
+    def test_not_distance_regular(self):
+        # the prism K3 x K2 is vertex-transitive, but vertex 0's first layer
+        # holds its triangle neighbors (a = 1) and its rung neighbor (a = 0)
         prism = G.build_graph(
             6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
         )
-        # prism is vertex-transitive and distance-regular? it is not: check
-        result = G.intersection_array(prism)
-        if result is None:
-            witnessed = any(
-                not G.intersection_data(prism, u).defined for u in range(6)
-            )
-            assert witnessed
-        else:
-            # the prism turns out distance-regular; force a witness instead
-            chair = G.build_graph(
-                4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
-            )
-            data = G.intersection_data(chair, 1)
-            assert not data.defined
-            assert data.witnesses
+        assert G.intersection_array(prism) is None
+        # Q3 with the rungs at 2 and 3 crossed: regular and connected, not
+        # distance-regular
+        crossed = G.build_graph(
+            8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
+                (0, 4), (1, 5), (2, 7), (3, 6)]
+        )
+        assert G.intersection_array(crossed) is None
+
+    def test_distance_regular_without_distance_transitivity(self):
+        # the Shrikhande graph, Cayley on Z4 x Z4 with connection set
+        # ±(1,0), ±(0,1), ±(1,1): srg(16,6,2,2), not distance-transitive
+        shrikhande = G.build_graph(
+            16,
+            [
+                (4 * x + y, 4 * ((x + dx) % 4) + (y + dy) % 4)
+                for x in range(4)
+                for y in range(4)
+                for dx, dy in ((1, 0), (0, 1), (1, 1))
+            ],
+        )
+        assert str(G.intersection_array(shrikhande)) == "{6,3;1,2}"
 
 
 class TestShapes:
@@ -308,8 +327,8 @@ class TestLCF:
 
 
 class TestAgainstNetworkx:
-    """girth and diameter against networkx on seeded random inputs, forests
-    and disconnected graphs included."""
+    """girth, diameter and intersection arrays against networkx on seeded
+    random inputs, forests and disconnected graphs included."""
 
     @staticmethod
     def _inputs(nx):
@@ -349,3 +368,32 @@ class TestAgainstNetworkx:
                 with pytest.raises(Disconnected):
                     G.diameter(g)
         assert disconnected >= 5
+
+    def test_intersection_array(self):
+        nx = pytest.importorskip("networkx")
+        named = [
+            nx.dodecahedral_graph(),
+            nx.icosahedral_graph(),
+            nx.hypercube_graph(5),
+            nx.hoffman_singleton_graph(),
+        ]
+        # valency 3 and up: networkx refuses any graph of diameter above
+        # 8 log2(n) / 3, a bound that long cycles break
+        regular = []
+        for seed in range(24):
+            rng = random.Random(seed)
+            d = rng.choice((3, 4, 5))
+            n = rng.randrange(d + 1, 31)
+            regular.append(nx.random_regular_graph(d, n + (n * d) % 2, seed=seed))
+        distance_regular = 0
+        for hx in regular + named:
+            hx = nx.convert_node_labels_to_integers(hx)
+            g = G.build_graph(hx.number_of_nodes(), list(hx.edges()))
+            array = G.intersection_array(g)
+            if nx.is_distance_regular(hx):
+                distance_regular += 1
+                b, c = nx.intersection_array(hx)
+                assert (array.b, array.c) == (tuple(b), tuple(c)), list(hx.edges())
+            else:
+                assert array is None, list(hx.edges())
+        assert distance_regular >= len(named)

@@ -128,12 +128,15 @@ def test_intersection_parameter_identities(ctx):
         valency = graph.valency
         dist = G.distances(graph, 0)
         sizes = [dist.count(i) for i in range(max(dist) + 1)]
-        data = G.intersection_data(graph, 0)
-        assert data.defined
-        for i, (a, b, c) in enumerate(data.levels):
-            assert a + b + c == valency
-            if i + 1 <= data.eccentricity:
-                assert sizes[i + 1] * data.levels[i + 1][2] == sizes[i] * b
+        array = G.intersection_array(graph)
+        b, c = array.b + (0,), (0,) + array.c
+        assert len(sizes) == array.diameter + 1
+        for i, size in enumerate(sizes):
+            layer = [v for v in range(graph.n) if dist[v] == i]
+            inner = sum(dist[w] == i for v in layer for w in graph.adjacency[v])
+            assert inner == size * (valency - b[i] - c[i])
+            if i < array.diameter:
+                assert sizes[i + 1] * c[i + 1] == size * b[i]
 
 
 def test_transitivity_verdicts_representative_independent(ctx):
