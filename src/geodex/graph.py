@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add, or_
 
 from .errors import (
     BadHeader,
@@ -19,6 +21,7 @@ from .errors import (
     TruncatedPayload,
     VertexOutOfRange,
 )
+from .perm import _BYTES_DEGREE
 
 
 @dataclass(frozen=True)
@@ -111,7 +114,13 @@ def build_graph(n: int, edges) -> Graph:
 
 
 def graph_from_json(data: dict) -> Graph:
-    return build_graph(data["n"], data["edges"])
+    """The graph of ``{"n": ..., "edges": [[u, v], ...]}``.  JSON's true and
+    false are no vertex counts or vertices, though Python reads them as 1
+    and 0, so a boolean ``n`` or endpoint raises TypeError."""
+    n, edges = data["n"], data["edges"]
+    if type(n) is bool or any(type(x) is bool for edge in edges for x in edge):
+        raise TypeError("vertex counts and vertices must be integers, not booleans")
+    return build_graph(n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -123,33 +132,78 @@ def distances(graph: Graph, u: int) -> tuple[int, ...]:
     requires a connected graph."""
     if not 0 <= u < graph.n:
         raise VertexOutOfRange(f"vertex {u} outside 0..{graph.n - 1}")
-    return distance_matrix(graph)[u]
+    return tuple(distance_matrix(graph)[u])
 
 
-def _distance_row(graph: Graph, u: int) -> tuple[int, ...]:
-    """Distances from u, -1 where unreachable: a BFS one level at a time."""
-    adjacency = graph.adjacency
-    dist = [-1] * graph.n
+def _distance_row(adjacency, u: int) -> list[int]:
+    """Distances from u, -1 where unreachable: a BFS whose queue is the list
+    of vertices in the order reached, walked while it grows."""
+    dist = [-1] * len(adjacency)
     dist[u] = 0
-    frontier = [u]
-    d = 0
-    while frontier:
-        d += 1
-        reached = []
-        for x in frontier:
-            for y in adjacency[x]:
-                if dist[y] < 0:
-                    dist[y] = d
-                    reached.append(y)
-        frontier = reached
-    return tuple(dist)
+    order = [u]
+    push = order.append
+    for x in order:
+        d = dist[x] + 1
+        for y in adjacency[x]:
+            if dist[y] < 0:
+                dist[y] = d
+                push(y)
+    return dist
 
 
-def distance_matrix(graph: Graph) -> tuple[tuple[int, ...], ...]:
+def _lane_table(adjacency) -> tuple[bytes, ...]:
+    """All-pairs distances of a connected graph on at most 256 vertices,
+    bit-parallel.
+
+    Vertex u's ball is an int with one byte lane per vertex, 1 where that
+    vertex lies inside.  A round ORs every ball with its neighbors' balls,
+    which grows it by one radius, so d(u, v) is the number of rounds in
+    which v is outside u's ball.  Once R rounds have filled every ball, row
+    u is R in every lane minus the sum of u's balls before that; no lane
+    exceeds R <= 255, so no lane carries into the next, and one
+    ``to_bytes`` reads the row out.
+    """
+    n = len(adjacency)
+    ones = int.from_bytes(b"\x01" * n, "little")
+    balls = [1 << (8 * u) for u in range(n)]
+    sums = [0] * n
+    rounds = 0
+    while min(balls) != ones:  # no ball exceeds ones, and a full one equals it
+        sums = list(map(add, sums, balls))
+        balls = [
+            reduce(or_, map(balls.__getitem__, nbrs), ball)
+            for ball, nbrs in zip(balls, adjacency)
+        ]
+        rounds += 1
+    full = rounds * ones
+    return tuple((full - s).to_bytes(n, "little") for s in sums)
+
+
+def _distance_table(graph: Graph) -> tuple:
+    """The rows of ``distance_matrix``, by BFS or by ``_lane_table``.
+
+    The lane build costs a round per unit of diameter D, and a round ORs
+    n-byte ints along every edge (about five BFS rows' worth on C256), so
+    it wins only when D is small against n.  Vertex 0's eccentricity e
+    bounds D by 2e, and lanes run when 10e <= n, so D <= n/5.
+    """
+    adjacency = graph.adjacency
+    n = graph.n
+    first = _distance_row(adjacency, 0)
+    if n <= _BYTES_DEGREE and 10 * max(first) <= n:
+        return _lane_table(adjacency)
+    raw = bytes if n <= _BYTES_DEGREE else tuple
+    return (raw(first),) + tuple(raw(_distance_row(adjacency, u)) for u in range(1, n))
+
+
+def distance_matrix(graph: Graph) -> tuple:
+    """All-pairs distances (cached), one row per vertex; requires a connected
+    graph.  Up to 256 vertices (``perm._BYTES_DEGREE``) every distance fits
+    a byte and each row is ``bytes``; above, each row is a tuple of ints."""
     if "distmat" not in graph._cache:
         if not graph.connected:
             raise Disconnected("distance matrix undefined on a disconnected graph")
-        graph._cache["distmat"] = tuple(_distance_row(graph, u) for u in range(graph.n))
+        graph._cache["distmat"] = _distance_table(graph)
     return graph._cache["distmat"]
 
 
@@ -170,10 +224,14 @@ def girth(graph: Graph) -> int | None:
     non-tree edge {x, y}: the tree paths from x and y meet at their lowest
     common ancestor and close a cycle no longer than that.  From a root on a
     shortest cycle some non-tree edge gives exactly the girth, so the least
-    bound over all roots is the girth.
+    bound over all roots is the girth.  Every bound from a vertex x at
+    level dx is at least 2dx + 1, and at least 2dx + 2 on a bipartite graph,
+    where no edge lies inside a level; the BFS stops at the first x whose
+    least bound cannot beat the best.
     """
     if "girth" in graph._cache:
         return graph._cache["girth"]
+    least = 2 if bipartition(graph) is not None else 1
     best = None
     adjacency = graph.adjacency
     n = graph.n
@@ -185,7 +243,7 @@ def girth(graph: Graph) -> int | None:
         while queue:
             x = queue.popleft()
             dx = dist[x]
-            if best is not None and 2 * dx + 1 >= best:
+            if best is not None and 2 * dx + least >= best:
                 break
             for y in adjacency[x]:
                 if dist[y] < 0:

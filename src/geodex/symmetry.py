@@ -3,7 +3,11 @@ deciders for finite graphs with explicit permutation groups.
 
 The automorphism engine is a backtracking search over partial vertex maps,
 pruned by equitable-partition colors and full distance consistency against
-every mapped vertex.  It fixes its base by refinement alone, each level
+every mapped vertex.  Up to 256 vertices the distance rows are bytes, and a
+candidate's check is one ``bytes.translate`` of the mapped vertices' images
+through its row, compared with the bytes of the source vertex's distances to
+them, which are memoized with the extension order.  It fixes its base by
+refinement alone, each level
 branching on the least vertex of a largest non-singleton cell, then settles
 the levels deepest first, as nauty does (McKay & Piperno, *Practical graph
 isomorphism II*, 2014): the generators of the deeper levels fix every earlier
@@ -31,6 +35,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import asdict, dataclass
+from operator import itemgetter
 
 from . import graph as graphmod
 from . import perm as permmod
@@ -127,9 +132,51 @@ def _extension_order(adjacency, sources):
         count, u = heapq.heappop(heap)
         if placed[u] or -count != nbr_count[u]:
             continue
-        order.append((u, next(q for q in adjacency[u] if placed[q])))
+        for anchor in adjacency[u]:
+            if placed[anchor]:
+                break
+        order.append((u, anchor))
         place(u)
     return tuple(order)
+
+
+def _distance_probe(graph: Graph):
+    """(targets, select, rows) over ``graph``'s distance table: ``targets``
+    is an empty vertex sequence to append to, and ``select(rows[t])`` gives
+    t's distances to the vertices in ``targets``, in order.
+
+    Up to 256 vertices the table's rows are ``bytes``; ``rows`` pads each to
+    256 (cached in ``graph._cache``, so each search of a graph reuses it),
+    and ``select`` is one ``bytes.translate`` of the bytearray of targets
+    through it.  Above, ``rows`` is the table and ``select`` one
+    ``itemgetter`` over the targets, which gives a bare int for a single
+    target; both sides of a comparison come from ``select`` over equally
+    many targets, so they agree in type.
+    """
+    if graph.n > permmod._BYTES_DEGREE:
+        targets = []
+        return targets, lambda row: itemgetter(*targets)(row), graphmod.distance_matrix(graph)
+    rows = graph._cache.get("probe_rows")
+    if rows is None:
+        pad = bytes(permmod._BYTES_DEGREE - graph.n)
+        rows = graph._cache["probe_rows"] = [row + pad for row in graphmod.distance_matrix(graph)]
+    targets = bytearray()
+    return targets, targets.translate, rows
+
+
+def _extension_plan(g1, sources):
+    """(plan, sequence) once ``sources`` (sorted) are mapped.  The plan holds
+    (vertex u, position of its anchor in the sequence, u's distances to the
+    vertices before it in the sequence) per search depth, in the order of
+    ``_extension_order``; the sequence is ``sources`` followed by the
+    plan's vertices."""
+    sequence, select, rows = _distance_probe(g1)
+    sequence.extend(sources)
+    plan = []
+    for u, anchor in _extension_order(g1.adjacency, sources):
+        plan.append((u, sequence.index(anchor), select(rows[u])))
+        sequence.append(u)
+    return tuple(plan), tuple(sequence)
 
 
 def _search_map(g1, g2, colors1, colors2, seeds):
@@ -146,6 +193,15 @@ def _search_map(g1, g2, colors1, colors2, seeds):
     seed sources, so every candidate of an automorphism level and every root
     target of an isomorphism test shares one order.
 
+    The memo also holds each depth's vertex u with its distances to the
+    vertices mapped before it, in mapping order.  The images of those
+    vertices are kept in the same order, so a target t of the right color is
+    distance-consistent iff t's distances to the images equal u's: one
+    ``bytes.translate`` of the images through t's row up to 256 vertices,
+    one ``itemgetter`` above (``_distance_probe``).  A target already used
+    is at distance 0 from itself, where u is at distance at least 1 from
+    every other vertex, so the same check refuses it.
+
     The search is complete: None means that no color-preserving isomorphism
     extends the seeds.  That is what lets ``automorphism_group`` take a
     level's reached set as the full orbit, and so count |Aut| without a
@@ -156,48 +212,47 @@ def _search_map(g1, g2, colors1, colors2, seeds):
     dist1, dist2 = graphmod.distance_matrix(g1), graphmod.distance_matrix(g2)
 
     mapping = [-1] * n
-    used = [False] * n
     mapped: list[int] = []
-
-    def assign(u, t) -> bool:
+    for u, t in seeds:
         if mapping[u] != -1:
-            return mapping[u] == t
-        if used[t] or colors1[u] != colors2[t]:
-            return False
+            if mapping[u] != t:
+                return None
+            continue
+        if colors1[u] != colors2[t]:
+            return None
         d1u = dist1[u]
         d2t = dist2[t]
         for q in mapped:
             if d1u[q] != d2t[mapping[q]]:
-                return False
+                return None
         mapping[u] = t
-        used[t] = True
         mapped.append(u)
-        return True
 
-    for u, t in seeds:
-        if not assign(u, t):
-            return None
-
-    key = ("extension_order", tuple(sorted(mapped)))
-    order = g1._cache.get(key)
-    if order is None:
-        order = g1._cache[key] = _extension_order(adj1, mapped)
+    key = ("extension_plan", tuple(sorted(mapped)))
+    memo = g1._cache.get(key)
+    if memo is None:
+        memo = g1._cache[key] = _extension_plan(g1, key[1])
+    plan, sequence = memo
+    targets, select, rows2 = _distance_probe(g2)
+    targets.extend(map(mapping.__getitem__, key[1]))
 
     def extend(depth) -> bool:
-        if depth == len(order):
+        if depth == len(plan):
             return True
-        u, anchor = order[depth]
-        for t in adj2[mapping[anchor]]:
-            if assign(u, t):
+        u, anchor, want = plan[depth]
+        color = colors1[u]
+        for t in adj2[targets[anchor]]:
+            if colors2[t] == color and select(rows2[t]) == want:
+                targets.append(t)
                 if extend(depth + 1):
                     return True
-                mapped.pop()
-                used[t] = False
-                mapping[u] = -1
+                targets.pop()
         return False
 
     if not extend(0):
         return None
+    for u, t in zip(sequence, targets):
+        mapping[u] = t
     result = tuple(mapping)
     adjsets2 = g2.neighbor_sets()
     for u in range(n):

@@ -263,6 +263,21 @@ def test_edge_list_without_edges(capsys, tmp_path):
     assert "BadInputFile" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['{"n": 3, "edges": [[false, true], [true, 2]]}', '{"n": true, "edges": []}'],
+    ids=["endpoints", "n"],
+)
+def test_boolean_vertices_are_refused(capsys, tmp_path, text):
+    # Python reads JSON's false and true as 0 and 1: without the check the
+    # first file is the path 0-1-2, whose |Aut| is 2
+    path = tmp_path / "booleans.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "aut", "--graph", str(path), "--format", "json")
+    assert code == 1 and err == ""
+    assert json.loads(out)["error"] == "BadInputFile"
+
+
 def test_missing_group_file(capsys, tmp_path):
     path = tmp_path / "absent.json"
     code, out, _ = run(

@@ -64,6 +64,16 @@ class TestDistances:
     def test_biggs_smith_diameter(self, ctx):
         assert G.diameter(ctx.graph("biggs-smith")) == 7
 
+    @pytest.mark.parametrize(
+        ("n", "row_type"), [(8, bytes), (256, bytes), (257, tuple)], ids=["C8", "C256", "C257"]
+    )
+    def test_row_types(self, n, row_type):
+        # a row is bytes while every distance fits a byte; distances() is a tuple
+        cycle = G.build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+        assert {type(row) for row in G.distance_matrix(cycle)} == {row_type}
+        assert G.distances(cycle, 0) == tuple(G.distance_matrix(cycle)[0])
+        assert type(G.distances(cycle, 0)) is tuple
+
 
 class TestGirth:
     def test_c6(self, c6):
@@ -97,6 +107,22 @@ class TestGirth:
         assert G.shortest_cycle_through_edge(bridge, 0, 1) == [0, 2, 1] or len(
             G.shortest_cycle_through_edge(bridge, 0, 1)
         ) == 3
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            *(G.build_graph(2 * a, [(i, a + j) for i in range(a) for j in range(a)]) for a in (2, 3, 4, 5)),
+            *(G.build_graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in (4, 6, 8, 10, 12)),
+            G.build_graph(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]),
+            # a 4-cycle beside a triangle: not bipartite, girth 3
+            G.build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)]),
+        ],
+        ids=["K2,2", "K3,3", "K4,4", "K5,5", "C4", "C6", "C8", "C10", "C12", "tree", "C4+C3"],
+    )
+    def test_bipartite_early_stop_matches_naive_oracle(self, graph):
+        # on a bipartite graph the BFS stops a level earlier (every bound is
+        # even); the girth must not change
+        assert G.girth(graph) == naive_girth(graph)
 
     def test_against_naive_oracle(self):
         import random

@@ -699,7 +699,83 @@ def test_distance_matrix_matches_floyd_warshall(graph):
     assert [list(row) for row in graphmod.distance_matrix(graph)] == oracles.floyd_warshall(graph)
 
 
-@pytest.mark.parametrize("graph", [_path(40), _cycle(33), _cycle(40)], ids=["P40", "C33", "C40"])
-def test_distance_matrix_matches_floyd_warshall_past_diameter_15(graph):
+@pytest.fixture
+def lane_builds(monkeypatch):
+    """A list that gains the vertex count of every bit-parallel table build."""
+    builds = []
+    original = graphmod._lane_table
+
+    def counted(adjacency):
+        builds.append(len(adjacency))
+        return original(adjacency)
+
+    monkeypatch.setattr(graphmod, "_lane_table", counted)
+    return builds
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [_path(40), _cycle(33), _cycle(40), _path(255), _path(256), _path(257), _cycle(256), _cycle(257)],
+    ids=["P40", "C33", "C40", "P255", "P256", "P257", "C256", "C257"],
+)
+def test_distance_matrix_matches_floyd_warshall_past_diameter_15(graph, lane_builds):
     assert graphmod.diameter(graph) > 15
+    want = oracles.floyd_warshall(graph)
+    assert [list(row) for row in graphmod.distance_matrix(graph)] == want
+    # a long diameter sends the table to BFS rows; the bit-parallel build
+    # must agree too, up to P256's distance 255, the most a byte lane holds
+    assert lane_builds == []
+    if graph.n <= 256:
+        assert [list(row) for row in graphmod._lane_table(graph.adjacency)] == want
+
+
+@pytest.mark.parametrize("name", ["foster", "pg2-4", "w3", "k16,16"])
+def test_distance_matrix_matches_floyd_warshall_on_short_diameters(name, lane_builds):
+    # vertex 0's eccentricity is at most n/10: the table is built bit-parallel
+    base = {
+        "foster": lambda: atlas_get("foster").graph,
+        "pg2-4": lambda: pg2_incidence(4),
+        "w3": lambda: symplectic_quadrangle(3),
+        "k16,16": lambda: build_graph(32, [(i, 16 + j) for i in range(16) for j in range(16)]),
+    }[name]()
+    graph = build_graph(base.n, base.edges())  # an empty cache
+    lane_builds.clear()
     assert [list(row) for row in graphmod.distance_matrix(graph)] == oracles.floyd_warshall(graph)
+    assert lane_builds == [graph.n]
+
+
+def _relabeled(graph, seed):
+    images = list(range(graph.n))
+    random.Random(seed).shuffle(images)
+    return build_graph(graph.n, [(images[u], images[v]) for u, v in graph.edges()])
+
+
+@pytest.mark.parametrize("name", ["foster", "pg2-4", "w3"])
+def test_search_matches_reference_on_relabelings(name):
+    # graphs large enough that the distance check compares long byte strings
+    base = {
+        "foster": lambda: atlas_get("foster").graph,
+        "pg2-4": lambda: pg2_incidence(4),
+        "w3": lambda: symplectic_quadrangle(3),
+    }[name]()
+    for seed in (1, 2):
+        graph = _relabeled(base, seed)
+        # the two deepest levels of the automorphism search, every target of
+        # their branch cells
+        for fixed, colors, branch, v in S._base_levels(graph)[-2:]:
+            for w in branch:
+                seeds = [(f, f) for f in fixed] + [(v, w)]
+                want = _reference_search_map(graph, graph, colors, colors, seeds)
+                assert S._search_map(graph, graph, colors, colors, seeds) == want
+    # root 0 of the catalog graph to targets 0, 1 and 2 of the last relabeling,
+    # each refined from its distances as are_isomorphic does.  On W(3) two
+    # of them are lines, which no isomorphism maps a point to, so those
+    # searches exhaust the whole tree
+    trace: list = []
+    dist1, dist2 = graphmod.distance_matrix(base), graphmod.distance_matrix(graph)
+    colors1 = S._refine(base.adjacency, list(zip([0] * base.n, dist1[0])), trace)
+    for t in range(3):
+        colors2 = S._refine(graph.adjacency, list(zip([0] * graph.n, dist2[t])), trace)
+        if colors2 is not None:
+            want = _reference_search_map(base, graph, colors1, colors2, [(0, t)])
+            assert S._search_map(base, graph, colors1, colors2, [(0, t)]) == want

@@ -71,20 +71,34 @@ class TestAutomorphismGroup:
             S.are_isomorphic(petersen, petersen)
 
     def test_one_distance_row_per_vertex(self, monkeypatch):
-        # every question reads the one cached distance matrix of the graph
-        rows = []
-        original = graphmod._distance_row
+        # every question reads the one cached distance matrix of the graph,
+        # built once (by BFS rows or bit-parallel) with one row per vertex
+        tables = []
+        original = graphmod._distance_table
 
-        def counted(graph, u):
-            rows.append(u)
-            return original(graph, u)
+        def counted(graph):
+            tables.append(original(graph))
+            return tables[-1]
 
-        monkeypatch.setattr(graphmod, "_distance_row", counted)
+        monkeypatch.setattr(graphmod, "_distance_table", counted)
         foster = atlas_get("foster").graph
         aut = S.automorphism_group(foster)
         S.transitivity_degrees(foster, aut)
         S.weiss_divisibility_check(foster, aut, 5)
-        assert sorted(rows) == list(range(foster.n))
+        assert len(tables) == 1 and len(tables[0]) == foster.n
+
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_cycles_either_side_of_byte_rows(self, n):
+        # C256 is the last graph with bytes distance rows, C257 the first
+        # with tuples; Aut(C_n) is dihedral of order 2n
+        cycle = graphmod.build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+        assert S.automorphism_group(cycle).order() == 2 * n
+        images = list(range(n))
+        random.Random(n).shuffle(images)
+        relabeled = graphmod.build_graph(n, [(images[u], images[v]) for u, v in cycle.edges()])
+        found = S.are_isomorphic(cycle, relabeled)
+        assert sorted(found) == list(range(n))
+        assert all(relabeled.has_edge(found[u], found[v]) for u, v in cycle.edges())
 
     def test_semisymmetric_hexagon(self, ctx):
         aut = ctx.aut("hexagon-q2")
