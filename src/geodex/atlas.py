@@ -253,10 +253,14 @@ def symplectic_quadrangle(q: int) -> Graph:
         w = field.sub(term(x[2], y[3]), term(x[3], y[2]))
         return field.add(v, w)
 
-    lines = set()
+    # two points span at most one line, so a pair already on a line found
+    # earlier is skipped: each line is spanned once, not once per point pair
+    lines = []
+    joined = [set() for _ in range(n)]
     for i, u in enumerate(points):
-        for v in points[i + 1:]:
-            if form(u, v):
+        for j in range(i + 1, n):
+            v = points[j]
+            if j in joined[i] or form(u, v):
                 continue
             cell = set()
             for a in field.elements():
@@ -268,7 +272,10 @@ def symplectic_quadrangle(q: int) -> Graph:
                         for uc, vc in zip(u, v)
                     )
                     cell.add(_normalize(vec, field))
-            lines.add(frozenset(index[pt] for pt in cell))
+            line = {index[pt] for pt in cell}
+            lines.append(line)
+            for pt in line:
+                joined[pt] |= line
     lines = sorted(lines, key=sorted)
     assert len(lines) == (q + 1) * (q * q + 1)
     edges = [(pt, n + li) for li, cell in enumerate(lines) for pt in cell]

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import chain
 from operator import add, or_
 
 from .errors import (
@@ -152,8 +153,8 @@ def _distance_row(adjacency, u: int) -> list[int]:
 
 
 def _lane_table(adjacency) -> tuple[bytes, ...]:
-    """All-pairs distances of a connected graph on at most 256 vertices,
-    bit-parallel.
+    """All-pairs distances of a connected graph of diameter at most 255,
+    bit-parallel, one ``bytes`` row per vertex.
 
     Vertex u's ball is an int with one byte lane per vertex, 1 where that
     vertex lies inside.  A round ORs every ball with its neighbors' balls,
@@ -185,21 +186,26 @@ def _distance_table(graph: Graph) -> tuple:
     The lane build costs a round per unit of diameter D, and a round ORs
     n-byte ints along every edge (about five BFS rows' worth on C256), so
     it wins only when D is small against n.  Vertex 0's eccentricity e
-    bounds D by 2e, and lanes run when 10e <= n, so D <= n/5.
+    bounds D by 2e, and lanes run when 10e <= n, so D <= n/5, and when
+    2e <= 255, so every distance fits a byte lane.  Above 256 vertices the
+    lane rows become tuples, as the BFS rows are.
     """
     adjacency = graph.adjacency
     n = graph.n
     first = _distance_row(adjacency, 0)
-    if n <= _BYTES_DEGREE and 10 * max(first) <= n:
-        return _lane_table(adjacency)
     raw = bytes if n <= _BYTES_DEGREE else tuple
+    e = max(first)
+    if 10 * e <= n and 2 * e <= 255:
+        rows = _lane_table(adjacency)
+        return rows if raw is bytes else tuple(map(tuple, rows))
     return (raw(first),) + tuple(raw(_distance_row(adjacency, u)) for u in range(1, n))
 
 
 def distance_matrix(graph: Graph) -> tuple:
     """All-pairs distances (cached), one row per vertex; requires a connected
     graph.  Up to 256 vertices (``perm._BYTES_DEGREE``) every distance fits
-    a byte and each row is ``bytes``; above, each row is a tuple of ints."""
+    a byte and each row is ``bytes``; above, each row is a tuple of ints,
+    whether BFS or ``_lane_table`` built the table."""
     if "distmat" not in graph._cache:
         if not graph.connected:
             raise Disconnected("distance matrix undefined on a disconnected graph")
@@ -208,8 +214,19 @@ def distance_matrix(graph: Graph) -> tuple:
 
 
 def diameter(graph: Graph) -> int:
+    """The greatest distance (cached).  The distances that occur are 0..D
+    with no gap, so on byte rows D is vertex 0's eccentricity raised while
+    the next value occurs, each test one byte search of the joined rows."""
     if "diameter" not in graph._cache:
-        graph._cache["diameter"] = max(max(row) for row in distance_matrix(graph))
+        rows = distance_matrix(graph)
+        if isinstance(rows[0], bytes):
+            flat = b"".join(rows)
+            d = max(rows[0])
+            while d < 255 and d + 1 in flat:
+                d += 1
+        else:
+            d = max(map(max, rows))
+        graph._cache["diameter"] = d
     return graph._cache["diameter"]
 
 
@@ -421,34 +438,75 @@ def intersection_array(graph: Graph) -> IntersectionArray | None:
 
 
 def _intersection_array(graph: Graph) -> IntersectionArray | None:
-    """One pass over the distance table: against each row, every vertex at
-    distance d counts its neighbors at distance d (a) and d + 1 (b), with
-    c = degree - a - b.  Each level must hold one triple in every row, and
-    every row must give row 0's levels."""
+    """Every vertex pair's counts at once, by lane arithmetic over the
+    distance table.
+
+    The table becomes one int with a lane of ``width`` bytes per vertex
+    pair (w, u) holding d(u, w), ``width`` being the least whose lanes hold
+    D + 1 and the valency k.  Let X hold d(u, x) in lane (w, u), for x the
+    j-th neighbor of w.  Lane (w, u) of (table + ones) - X is
+    d(u, w) - d(u, x) + 1: 0, 1 or 2 as x lies farther from u, as far, or
+    nearer, and no lane borrows from the next.  Summed over j, the 2-bits
+    give 2C and the whole differences A + 2C, where lane (w, u) of A holds
+    a(u, w) and of C holds c(u, w).  Vertex 0's row of A and C gives
+    (a_d, c_d) for each of its levels d.  The graph is distance-regular iff
+    every lane at distance d holds a_d and c_d, one ``translate`` of the
+    table per lane byte, and then b_d = k - a_d - c_d.  Vertex 0's pairs at
+    its eccentricity e have b = 0, so a row reaching past e breaks b_e = 0
+    at e, and the lanes past e need no table entry.
+    """
+    rows = distance_matrix(graph)
     adjacency = graph.adjacency
-    reference = None
-    for row in distance_matrix(graph):
-        levels = [None] * (max(row) + 1)
-        for v, d in enumerate(row):
-            a = b = 0
-            for w in adjacency[v]:
-                dw = row[w]
-                if dw == d:
-                    a += 1
-                elif dw > d:
-                    b += 1
-            triple = (a, b, len(adjacency[v]) - a - b)
-            if levels[d] is None:
-                levels[d] = triple
-            elif levels[d] != triple:
-                return None
-        if reference is None:
-            reference = levels
-        elif levels != reference:
-            return None
-    b = tuple(level[1] for level in reference[:-1])
-    c = tuple(level[2] for level in reference[1:])
-    return IntersectionArray(b, c)
+    n, k = len(adjacency), len(adjacency[0])
+    span = diameter(graph) + 1
+    width = 1
+    while 256**width <= max(span, k):
+        width += 1
+    # the rows end to end, one byte per distance while every one fits
+    flat = tuple(chain.from_iterable(rows)) if span > 256 else b"".join(map(bytes, rows))
+    pairs = _lanes(flat, range(span), width)
+    size = n * width
+    row_lanes = [pairs[i : i + size] for i in range(0, n * size, size)]
+    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * (n * n), "little")
+    twos = ones << 1
+    up = int.from_bytes(pairs, "little") + ones
+    total = c2 = 0
+    for column in zip(*adjacency):
+        x = int.from_bytes(b"".join(map(row_lanes.__getitem__, column)), "little")
+        total += x
+        c2 += (up - x) & twos
+    a_lanes = (k * up - total - c2).to_bytes(n * size, "little")
+    c_lanes = (c2 >> 1).to_bytes(n * size, "little")
+    first = rows[0]
+    levels = [first.index(d) * width for d in range(max(first) + 1)]
+    a = [int.from_bytes(a_lanes[i : i + width], "little") for i in levels]
+    c = [int.from_bytes(c_lanes[i : i + width], "little") for i in levels]
+    pad = [0] * (span - len(levels))  # any value: see the docstring
+    if a_lanes != _lanes(flat, a + pad, width) or c_lanes != _lanes(flat, c + pad, width):
+        return None
+    return IntersectionArray(tuple(map(k.__sub__, map(add, a[:-1], c))), tuple(c[1:]))
+
+
+def _lanes(keys, table, width: int) -> bytes | bytearray:
+    """The bytes whose lane j, width bytes little-endian, holds
+    table[keys[j]].
+
+    Byte i of every lane is one ``translate`` of keys as bytes, which holds
+    distances up to 255; keys as a tuple, past that, are looked up one by
+    one.  A byte that is 0 in every table entry is left 0.
+    """
+    if width == 1:
+        return keys.translate(bytes(table).ljust(256, b"\0"))
+    out = bytearray(len(keys) * width)
+    for i in range(width):
+        plane = [v >> 8 * i & 255 for v in table]
+        if not any(plane):
+            continue
+        if isinstance(keys, bytes):
+            out[i::width] = keys.translate(bytes(plane).ljust(256, b"\0"))
+        else:
+            out[i::width] = bytes(map(plane.__getitem__, keys))
+    return out
 
 
 # ---------------------------------------------------------------------------

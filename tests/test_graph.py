@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -213,6 +214,135 @@ class TestGeodesics:
                 assert G.first_geodesic(g, s) == geos[0]
 
 
+def _reference_intersection_array(graph):
+    """The intersection array by an O(n m) walk over the distance table:
+    against each row, every vertex at distance d counts its neighbors at
+    distance d (a) and d + 1 (b), with c = degree - a - b.  Each level must
+    hold one triple in every row, and every row must give row 0's levels."""
+    adjacency = graph.adjacency
+    reference = None
+    for row in G.distance_matrix(graph):
+        levels = [None] * (max(row) + 1)
+        for v, d in enumerate(row):
+            a = b = 0
+            for w in adjacency[v]:
+                dw = row[w]
+                if dw == d:
+                    a += 1
+                elif dw > d:
+                    b += 1
+            triple = (a, b, len(adjacency[v]) - a - b)
+            if levels[d] is None:
+                levels[d] = triple
+            elif levels[d] != triple:
+                return None
+        if reference is None:
+            reference = levels
+        elif levels != reference:
+            return None
+    b = tuple(level[1] for level in reference[:-1])
+    c = tuple(level[2] for level in reference[1:])
+    return G.IntersectionArray(b, c)
+
+
+def _prism():
+    # K3 x K2 is vertex-transitive, but vertex 0's first layer holds its
+    # triangle neighbors (a = 1) and its rung neighbor (a = 0)
+    return G.build_graph(
+        6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+    )
+
+
+def _crossed_q3():
+    # Q3 with the rungs at 2 and 3 crossed: regular and connected, not
+    # distance-regular
+    return G.build_graph(
+        8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
+            (0, 4), (1, 5), (2, 7), (3, 6)]
+    )
+
+
+def _hexagonal_prism():
+    # C6 x K2: cubic, bipartite and vertex-transitive, not distance-regular.
+    # Bipartite, so a = 0 for every pair: only the c counts reject it
+    return G.build_graph(
+        12,
+        [(i, (i + 1) % 6) for i in range(6)]
+        + [(6 + i, 6 + (i + 1) % 6) for i in range(6)]
+        + [(i, 6 + i) for i in range(6)],
+    )
+
+
+def _shrikhande():
+    # Cayley on Z4 x Z4 with connection set ±(1,0), ±(0,1), ±(1,1):
+    # srg(16,6,2,2), distance-regular but not distance-transitive
+    return G.build_graph(
+        16,
+        [
+            (4 * x + y, 4 * ((x + dx) % 4) + (y + dy) % 4)
+            for x in range(4)
+            for y in range(4)
+            for dx, dy in ((1, 0), (0, 1), (1, 1))
+        ],
+    )
+
+
+def _cycle(n):
+    return G.build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _knn(n):
+    return G.build_graph(2 * n, [(i, n + j) for i in range(n) for j in range(n)])
+
+
+def _one_edge_swap(graph):
+    """Edges {u, v} and {x, y} replaced by {u, x} and {v, y}: the first pair,
+    taking {u, v} as the least edge, that keeps the graph simple and
+    connected.  Every degree is kept."""
+    edges = graph.edges()
+    u, v = edges[0]
+    for x, y in edges[1:]:
+        if len({u, v, x, y}) < 4 or graph.has_edge(u, x) or graph.has_edge(v, y):
+            continue
+        swapped = G.build_graph(graph.n, set(edges) - {(u, v), (x, y)} | {(u, x), (v, y)})
+        if swapped.connected:
+            return swapped
+    raise AssertionError("no one-edge swap keeps the graph connected")
+
+
+def _catalog(name):
+    from geodex.atlas import atlas_get
+
+    return lambda: atlas_get(name).graph
+
+
+def _array_cases():
+    from geodex.atlas import atlas_list
+
+    cases = {name: _catalog(name) for name in atlas_list()}
+    cases.update({f"PG(2,{q})": _catalog(f"PG(2,{q})") for q in (2, 3, 4, 5, 7, 8)})
+    cases.update({f"W({q})": _catalog(f"W({q})") for q in (2, 3, 4)})
+    # K200,200 has tuple rows (400 vertices) and byte lanes (valency 200);
+    # K256,256's valency 256 needs two-byte lanes
+    cases.update({f"K{n},{n}": functools.partial(_knn, n) for n in (2, 3, 127, 128, 200, 256)})
+    # C510 to C512 have diameters 255 and 256: two-byte lanes, and distances
+    # past a byte on C512
+    for n in [*range(3, 13), 255, 256, 257, 510, 511, 512]:
+        cases[f"C{n}"] = functools.partial(_cycle, n)
+    cases.update(
+        K1=lambda: G.build_graph(1, []),
+        K2=lambda: G.build_graph(2, [(0, 1)]),
+        shrikhande=_shrikhande,
+        prism=_prism,
+        hexagonal_prism=_hexagonal_prism,
+        crossed_q3=_crossed_q3,
+    )
+    return cases
+
+
+_ARRAY_CASES = _array_cases()
+
+
 class TestIntersectionData:
     def test_c6_array(self, c6):
         assert str(G.intersection_array(c6)) == "{2,1,1;1,1,2}"
@@ -270,33 +400,28 @@ class TestIntersectionData:
         assert calls == [foster]
 
     def test_not_distance_regular(self):
-        # the prism K3 x K2 is vertex-transitive, but vertex 0's first layer
-        # holds its triangle neighbors (a = 1) and its rung neighbor (a = 0)
-        prism = G.build_graph(
-            6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
-        )
-        assert G.intersection_array(prism) is None
-        # Q3 with the rungs at 2 and 3 crossed: regular and connected, not
-        # distance-regular
-        crossed = G.build_graph(
-            8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
-                (0, 4), (1, 5), (2, 7), (3, 6)]
-        )
-        assert G.intersection_array(crossed) is None
+        assert G.intersection_array(_prism()) is None
+        assert G.intersection_array(_crossed_q3()) is None
+        assert G.intersection_array(_hexagonal_prism()) is None
 
     def test_distance_regular_without_distance_transitivity(self):
-        # the Shrikhande graph, Cayley on Z4 x Z4 with connection set
-        # ±(1,0), ±(0,1), ±(1,1): srg(16,6,2,2), not distance-transitive
-        shrikhande = G.build_graph(
-            16,
-            [
-                (4 * x + y, 4 * ((x + dx) % 4) + (y + dy) % 4)
-                for x in range(4)
-                for y in range(4)
-                for dx, dy in ((1, 0), (0, 1), (1, 1))
-            ],
-        )
-        assert str(G.intersection_array(shrikhande)) == "{6,3;1,2}"
+        assert str(G.intersection_array(_shrikhande())) == "{6,3;1,2}"
+
+    @pytest.mark.parametrize("name", sorted(_ARRAY_CASES))
+    def test_matches_reference_walk(self, name):
+        graph = _ARRAY_CASES[name]()
+        want = _reference_intersection_array(G.build_graph(graph.n, graph.edges()))
+        # an empty cache: a catalog graph already holds its validated array
+        assert G.intersection_array(G.build_graph(graph.n, graph.edges())) == want
+
+    @pytest.mark.parametrize("name", ["foster", "hexagon-q2"])
+    def test_one_edge_swap_is_not_distance_regular(self, name):
+        from geodex.atlas import atlas_get
+
+        swapped = _one_edge_swap(atlas_get(name).graph)
+        assert swapped.is_regular() and swapped.connected
+        assert _reference_intersection_array(swapped) is None
+        assert G.intersection_array(G.build_graph(swapped.n, swapped.edges())) is None
 
 
 class TestShapes:

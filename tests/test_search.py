@@ -725,23 +725,35 @@ def test_distance_matrix_matches_floyd_warshall_past_diameter_15(graph, lane_bui
     # a long diameter sends the table to BFS rows; the bit-parallel build
     # must agree too, up to P256's distance 255, the most a byte lane holds
     assert lane_builds == []
-    if graph.n <= 256:
+    if graphmod.diameter(graph) <= 255:
         assert [list(row) for row in graphmod._lane_table(graph.adjacency)] == want
 
 
-@pytest.mark.parametrize("name", ["foster", "pg2-4", "w3", "k16,16"])
+def _knn(n):
+    return build_graph(2 * n, [(i, n + j) for i in range(n) for j in range(n)])
+
+
+@pytest.mark.parametrize(
+    "name", ["foster", "pg2-4", "w3", "k16,16", "k150,150", "k200,200", "k256,256"]
+)
 def test_distance_matrix_matches_floyd_warshall_on_short_diameters(name, lane_builds):
-    # vertex 0's eccentricity is at most n/10: the table is built bit-parallel
+    # vertex 0's eccentricity is at most n/10: the table is built bit-parallel,
+    # above 256 vertices too, where its rows are tuples
     base = {
         "foster": lambda: atlas_get("foster").graph,
         "pg2-4": lambda: pg2_incidence(4),
         "w3": lambda: symplectic_quadrangle(3),
-        "k16,16": lambda: build_graph(32, [(i, 16 + j) for i in range(16) for j in range(16)]),
+        "k16,16": lambda: _knn(16),
+        "k150,150": lambda: _knn(150),
+        "k200,200": lambda: _knn(200),
+        "k256,256": lambda: _knn(256),
     }[name]()
     graph = build_graph(base.n, base.edges())  # an empty cache
     lane_builds.clear()
-    assert [list(row) for row in graphmod.distance_matrix(graph)] == oracles.floyd_warshall(graph)
+    rows = graphmod.distance_matrix(graph)
+    assert [list(row) for row in rows] == oracles.floyd_warshall(graph)
     assert lane_builds == [graph.n]
+    assert {type(row) for row in rows} == {bytes if graph.n <= 256 else tuple}
 
 
 def _relabeled(graph, seed):
