@@ -340,17 +340,44 @@ def first_arc(graph: Graph, s: int) -> tuple[int, ...] | None:
 
 
 def count_arcs(graph: Graph, s: int) -> int:
-    """Number of s-arcs via dynamic programming on directed edges."""
+    """Number of s-arcs via dynamic programming on directed edges.
+
+    The per-graph memo ``graph._cache["arcs"]`` keeps the total of every
+    level counted so far beside the generator that holds the last level's
+    count per directed edge: a level already counted is looked up, and a
+    deeper one continues from the last.
+    """
     _check_level(s)
-    counts = {(u, v): 1 for u in range(graph.n) for v in graph.adjacency[u]}
-    for _ in range(s - 1):
-        nxt = dict.fromkeys(counts, 0)
-        for (u, v), c in counts.items():
-            for w in graph.adjacency[v]:
-                if w != u:
-                    nxt[(v, w)] += c
-        counts = nxt
-    return sum(counts.values())
+    if "arcs" not in graph._cache:
+        graph._cache["arcs"] = ([], _arc_totals(graph.adjacency))
+    totals, deeper = graph._cache["arcs"]
+    while len(totals) < s:
+        totals.append(next(deeper))
+    return totals[s - 1]
+
+
+def _arc_totals(adjacency):
+    """The number of s-arcs for s = 1, 2, ...
+
+    Directed edges are listed by tail, and ``counts[e]`` is the number of
+    s-arcs that end with e.  An (s+1)-arc ending with (v, w) extends an
+    s-arc ending with (u, v) for u != w: all the s-arcs into v, less those
+    ending with the reverse edge (w, v).
+    """
+    arcs = [(v, w) for v, nbrs in enumerate(adjacency) for w in nbrs]
+    index = {arc: e for e, arc in enumerate(arcs)}
+    reverse = [index[w, v] for v, w in arcs]
+    tails = [v for v, _ in arcs]
+    starts = [0]
+    for nbrs in adjacency:
+        starts.append(starts[-1] + len(nbrs))
+    blocks = list(zip(starts, starts[1:]))  # each vertex's edges out
+    counts = [1] * len(arcs)
+    while True:
+        yield sum(counts)
+        back = [counts[r] for r in reverse]  # back[e]: the count of e's reverse
+        into = [sum(back[a:b]) for a, b in blocks]  # s-arcs ending at each vertex
+        counts = [into[v] - c for v, c in zip(tails, back)]
 
 
 def _geodesics(graph: Graph, s: int):
@@ -390,23 +417,40 @@ def first_geodesic(graph: Graph, s: int) -> tuple[int, ...] | None:
 
 
 def count_geodesics(graph: Graph, s: int) -> int:
+    """Number of s-geodesics; 0 past the diameter.
+
+    The first call counts every level up to the diameter and keeps the list
+    in the per-graph memo ``graph._cache["geodesics"]``.
+    """
     _check_level(s)
     if s > diameter(graph):
         return 0
+    if "geodesics" not in graph._cache:
+        graph._cache["geodesics"] = _geodesic_totals(graph)
+    return graph._cache["geodesics"][s - 1]
+
+
+def _geodesic_totals(graph: Graph) -> list[int]:
+    """The number of s-geodesics for s = 1..diameter, in one breadth-first
+    pass per vertex u: the geodesics from u to a vertex y at distance d
+    extend those from u to y's neighbors at distance d - 1."""
     dist = distance_matrix(graph)
-    total = 0
+    adjacency = graph.adjacency
+    totals = [0] * diameter(graph)
     for u in range(graph.n):
         du = dist[u]
         level = {u: 1}
-        for depth in range(1, s + 1):
+        for depth in range(1, len(totals) + 1):
             nxt: dict[int, int] = {}
             for x, c in level.items():
-                for y in graph.adjacency[x]:
+                for y in adjacency[x]:
                     if du[y] == depth:
                         nxt[y] = nxt.get(y, 0) + c
+            if not nxt:
+                break
+            totals[depth - 1] += sum(nxt.values())
             level = nxt
-        total += sum(level.values())
-    return total
+    return totals
 
 
 # ---------------------------------------------------------------------------

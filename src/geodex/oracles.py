@@ -141,11 +141,17 @@ def geodesics_by_filter(graph: Graph, s: int) -> list[tuple[int, ...]]:
     return [arc for arc in recursive_arcs(graph, s) if dist[arc[0]][arc[-1]] == s]
 
 
-def _closure(gens, n: int, cap: int | None = None) -> set | None:
-    """Every product of the image tuples ``gens`` on n points, by breadth-first
-    multiplication; None as soon as the set holds more than ``cap``."""
+def _tuple_product(e, g):
+    """e, then g, on image tuples."""
+    return tuple(map(g.__getitem__, e))
+
+
+def _closure(gens, identity, product, cap: int | None = None) -> set | None:
+    """Every product of ``gens``, by breadth-first multiplication from
+    ``identity``, where ``product(e, g)`` is e, then g; None as soon as the
+    set holds more than ``cap``."""
     limit = float("inf") if cap is None else cap
-    elements = {tuple(range(n))}
+    elements = {identity}
     if len(elements) > limit:
         return None
     frontier = list(elements)
@@ -153,7 +159,7 @@ def _closure(gens, n: int, cap: int | None = None) -> set | None:
         fresh = []
         for e in frontier:
             for g in gens:
-                prod = tuple(map(g.__getitem__, e))
+                prod = product(e, g)
                 if prod not in elements:
                     elements.add(prod)
                     if len(elements) > limit:
@@ -167,11 +173,12 @@ def _generated(elements, n: int) -> set:
     """The subgroup generated by ``elements``: the closure of those that each
     fall outside the closure of the ones kept before them."""
     kept = []
-    closure = {tuple(range(n))}
+    identity = tuple(range(n))
+    closure = {identity}
     for x in elements:
         if x not in closure:
             kept.append(x)
-            closure = _closure(kept, n)
+            closure = _closure(kept, identity, _tuple_product)
     return closure
 
 
@@ -181,9 +188,19 @@ def multiplication_closure_order(generators, cap: int | None = None) -> int | No
     With ``cap``, gives up and returns None as soon as more than ``cap``
     elements are found (the identity counts), so the order is known to
     exceed ``cap``; at most ``cap + 1`` elements are ever held.
+
+    Up to 256 points an element is bytes, one image per byte, and e, then g
+    is one ``bytes.translate`` of e through g's images padded with the
+    identity to the 256 bytes of a translation table.
     """
-    gens = [tuple(g.images) for g in generators]
-    elements = _closure(gens, len(gens[0]) if gens else 0, cap)
+    images = [tuple(g.images) for g in generators]
+    n = len(images[0]) if images else 0
+    if n <= 256:
+        pad = bytes(range(n, 256))
+        tables = [bytes(g) + pad for g in images]
+        elements = _closure(tables, bytes(range(n)), bytes.translate, cap)
+    else:
+        elements = _closure(images, tuple(range(n)), _tuple_product, cap)
     return None if elements is None else len(elements)
 
 
@@ -198,10 +215,10 @@ def minimal_normal_subgroups(generators, cap: int) -> list[frozenset] | None:
     """
     gens = [tuple(g.images) for g in generators]
     n = len(gens[0]) if gens else 0
-    elements = _closure(gens, n, cap)
+    identity = tuple(range(n))
+    elements = _closure(gens, identity, _tuple_product, cap)
     if elements is None:
         return None
-    identity = tuple(range(n))
     pairs = [(g, tuple(sorted(range(n), key=g.__getitem__))) for g in elements]
     unseen = set(elements) - {identity}
     closures = set()

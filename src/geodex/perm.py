@@ -11,11 +11,21 @@ byte: composing is ``bytes.translate`` and inverting ``bytes.maketrans``, both
 in C, and a ``bytes`` object caches its hash, which the class sets and
 processed-pair memos look up.  A byte holds only the points 0..255, so a raw
 permutation of a larger degree stays an image tuple, composed through
-``operator.itemgetter``.  ``_raw`` picks the form from the length alone, and
+``operator.itemgetter``.  ``_form`` picks the form from the degree alone, and
 every entry that takes outside image sequences (a chain build, ``in``,
-``contains_raw``, a normal closure) converts them with it once.  Bytes and
-tuples of the same images sort alike, so every least element and sorted list
-is the same on either form.
+``contains_raw``, a normal closure) converts them with ``_raw`` once.  Bytes
+and tuples of the same images sort alike, so every least element and sorted
+list is the same on either form.
+
+A product p * q is ``apply(p, table(q))``, where ``table(q)`` is q's
+*right-operand table*: q padded with the identity to the 256 bytes that
+``bytes.translate`` reads, or the image tuple itself.  Whatever multiplies by
+the same q many times builds its table once.  A chain takes ``apply`` and
+``table`` from its degree when it is made and stores every transversal
+inverse as its table, so a sift step is one ``bytes.translate`` with no
+Python frame; closing a level builds one table per acting generator, listing
+the elements one per transversal element, and a conjugation loop one per
+conjugator and one per conjugated element.
 
 Groups are represented by a base and strong generating set built with a
 deterministic Schreier-Sims procedure: base points are taken from an optional
@@ -51,8 +61,10 @@ elements.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import (
     GroupTooLarge,
@@ -76,33 +88,63 @@ _BYTES_DEGREE = 256
 _ID = bytes(range(256))
 
 
-def _raw(images):
-    """The raw form of an image sequence: bytes up to degree 256, else a tuple."""
-    if len(images) <= _BYTES_DEGREE:
-        return bytes(images)
-    return tuple(images)
+class _Form(NamedTuple):
+    """How raw permutations of one degree are made, multiplied and inverted.
+
+    ``apply(p, table(q))`` is ``p * q``: ``table(q)`` is q's right-operand
+    table, and code that multiplies by the same q many times builds it once.
+    """
+
+    raw: Callable  # image sequence -> raw permutation
+    apply: Callable  # (raw p, table of q) -> raw p * q
+    table: Callable  # raw q -> its right-operand table
+    inverse: Callable  # raw p -> raw p^-1
 
 
-def _compose(p, q):
-    """Apply p, then q."""
-    if len(p) <= _BYTES_DEGREE:
-        return p.translate(q + _ID[len(q):])
-    return itemgetter(*p)(q)
-
-
-def _inverse(p):
+def _bytes_inverse(p):
     n = len(p)
-    if n <= _BYTES_DEGREE:
-        return bytes.maketrans(p, _ID[:n])[:n]
-    inv = [0] * n
+    return bytes.maketrans(p, _ID[:n])[:n]
+
+
+def _tuple_inverse(p):
+    inv = [0] * len(p)
     for i, j in enumerate(p):
         inv[j] = i
     return tuple(inv)
 
 
-def _conjugate(x, g, gi):
-    """g^-1 * x * g, where ``gi`` is the inverse of g."""
-    return _compose(_compose(gi, x), g)
+# a bytes table is q padded with the identity to the 256 bytes that
+# bytes.translate reads; an image tuple is its own table
+_BYTES = _Form(bytes, bytes.translate, lambda q: q + _ID[len(q):], _bytes_inverse)
+_TUPLES = _Form(tuple, lambda p, table: itemgetter(*p)(table), lambda q: q, _tuple_inverse)
+
+
+def _form(degree: int) -> _Form:
+    """The form of raw permutations of ``degree``: bytes up to
+    ``_BYTES_DEGREE``, image tuples above it."""
+    return _BYTES if degree <= _BYTES_DEGREE else _TUPLES
+
+
+def _raw(images):
+    """The raw form of an image sequence: bytes up to degree 256, else a tuple."""
+    return _form(len(images)).raw(images)
+
+
+def _compose(p, q):
+    """Apply p, then q."""
+    form = _form(len(p))
+    return form.apply(p, form.table(q))
+
+
+def _inverse(p):
+    return _form(len(p)).inverse(p)
+
+
+def _conjugate(x, table, gi):
+    """g^-1 * x * g, from the right-operand tables ``x`` of x and ``table`` of
+    g, and the inverse ``gi`` of g."""
+    apply = _form(len(gi)).apply
+    return apply(apply(gi, x), table)
 
 
 def _orbit(gens, seeds) -> set[int]:
@@ -233,12 +275,13 @@ def parse_cycle_string(text: str, degree: int) -> Permutation:
 class _Level:
     __slots__ = ("point", "gens", "transversal", "inverse", "processed")
 
-    def __init__(self, point: int, identity):
+    def __init__(self, point: int, identity, identity_table):
         self.point = point
         self.gens = []  # strong generators installed at this level
-        # transversal[q] = t with t[point] == q; inverse[q] is t's inverse
+        # transversal[q] = t with t[point] == q; inverse[q] is the table of
+        # t's inverse
         self.transversal = {point: identity}
-        self.inverse = {point: identity}
+        self.inverse = {point: identity_table}
         self.processed = set()  # (orbit point, raw generator) pairs already closed
 
 
@@ -250,33 +293,44 @@ class _Chain:
     every public mutation the full strong-generating property holds: each
     basic orbit is closed under its level's acting set and every Schreier
     generator sifts to the identity.  At every level, ``inverse`` has the
-    keys of ``transversal`` and ``inverse[q]`` is the inverse of
-    ``transversal[q]``.
+    keys of ``transversal`` and ``inverse[q]`` is the right-operand table of
+    the inverse of ``transversal[q]``.
+
+    The chain takes ``apply`` and ``table`` from its degree's form when it is
+    made, so ``apply(g, table(q))`` is ``g * q``.
     """
 
     def __init__(self, degree: int, base_hint=()):
         self.degree = degree
-        self.identity = _raw(range(degree))
+        form = _form(degree)
+        self.apply = form.apply
+        self.table = form.table
+        self.identity = form.raw(range(degree))
         self.levels = []
         self.walk = []  # the generators that enlarged the group, in order
         for b in base_hint:
             if not 0 <= b < degree:
                 raise PointOutOfRange(f"base point {b} outside 0..{degree - 1}")
             if all(lvl.point != b for lvl in self.levels):
-                self.levels.append(_Level(b, self.identity))
+                self._add_level(b)
+
+    def _add_level(self, point: int) -> None:
+        self.levels.append(_Level(point, self.identity, self.table(self.identity)))
 
     def sift(self, g, start: int = 0):
         """Strip g through the chain; return (residue, first failing level)."""
-        for i in range(start, len(self.levels)):
-            lvl = self.levels[i]
+        apply = self.apply
+        levels = self.levels
+        for i in range(start, len(levels)):
+            lvl = levels[i]
             p = g[lvl.point]
             if p == lvl.point:
                 continue
             t_inv = lvl.inverse.get(p)
             if t_inv is None:
                 return g, i
-            g = _compose(g, t_inv)
-        return g, len(self.levels)
+            g = apply(g, t_inv)
+        return g, len(levels)
 
     def contains(self, g) -> bool:
         residue, _ = self.sift(g)
@@ -308,7 +362,7 @@ class _Chain:
             point = min(p for p in range(self.degree) if g[p] != p)
             if any(lvl.point == point for lvl in self.levels):
                 raise AssertionError("residue moves a base point")
-            self.levels.append(_Level(point, self.identity))
+            self._add_level(point)
         self.levels[k].gens.append(g)
 
     def _reestablish(self) -> None:
@@ -337,6 +391,8 @@ class _Chain:
         """
         lvl = self.levels[i]
         gens = self.gens_from_level(i)
+        apply, table = self.apply, self.table
+        tables = {s: table(s) for s in gens}
         processed = lvl.processed
         transversal = lvl.transversal
         inverse = lvl.inverse
@@ -349,14 +405,14 @@ class _Chain:
                 continue
             processed.add((p, s))
             q = s[p]
-            t_ps = _compose(transversal[p], s)
+            t_ps = apply(transversal[p], tables[s])
             t_q_inv = inverse.get(q)
             if t_q_inv is None:
                 transversal[q] = t_ps
-                inverse[q] = _inverse(t_ps)
+                inverse[q] = table(_inverse(t_ps))
                 pending.extend((q, g) for g in gens if (q, g) not in processed)
             else:
-                schreier = _compose(t_ps, t_q_inv)
+                schreier = apply(t_ps, t_q_inv)
                 if schreier != self.identity:
                     residue, k = self.sift(schreier, i + 1)
                     if residue != self.identity:
@@ -447,11 +503,12 @@ class PermGroup:
             return self._cache["elements"]
         if self.order() > ENUMERATION_CAP:
             raise GroupTooLarge(f"order {self.order()} exceeds cap {ENUMERATION_CAP}")
-        levels = self._chain.levels
-        out = [self._chain.identity]
-        for lvl in reversed(levels):
-            transversal = [lvl.transversal[p] for p in sorted(lvl.transversal)]
-            out = [_compose(deep, t) for t in transversal for deep in out]
+        chain = self._chain
+        apply, table = chain.apply, chain.table
+        out = [chain.identity]
+        for lvl in reversed(chain.levels):
+            tables = [table(lvl.transversal[p]) for p in sorted(lvl.transversal)]
+            out = [apply(deep, t) for t in tables for deep in out]
         assert len(out) == self.order()
         self._cache["elements"] = out
         return out
@@ -601,19 +658,21 @@ def normal_test_and_closure(group: PermGroup, subgroup) -> tuple[bool, PermGroup
     # one chain: H's chain tests normality and, unless H is normal (then it is
     # already the closure's), grows into the closure's
     chain = _build_chain(group.degree, h_gens)
-    g_walk = [(g, _inverse(g)) for g in group.walk()]
-    if all(chain.contains(_conjugate(h, g, gi)) for h in chain.walk for g, gi in g_walk):
+    table = chain.table
+    g_walk = [(table(g), _inverse(g)) for g in group.walk()]
+    h_tables = [table(h) for h in chain.walk]
+    if all(chain.contains(_conjugate(h, g, gi)) for h in h_tables for g, gi in g_walk):
         return True, _group_from_chain(group.degree, h_gens, chain)
 
     # the closure's generators are printed (a quasiprimitivity witness, a
     # minimal normal subgroup), so they are the conjugates by every generator
     # of G in order, not by the walk list
     g_raw = [_raw(g.images) for g in group.generators]
-    g_gens = [(g, _inverse(g)) for g in g_raw]
+    g_gens = [(table(g), _inverse(g)) for g in g_raw]
     closure_gens = list(h_gens)
     queue = list(h_gens)
     while queue:
-        x = queue.pop()
+        x = table(queue.pop())
         for g, gi in g_gens:
             c = _conjugate(x, g, gi)
             if chain.add_generator(c):
@@ -627,7 +686,8 @@ def conjugacy_class_representatives(group: PermGroup) -> list[Permutation]:
     if "class_reps" in group._cache:
         return group._cache["class_reps"]
     elements = group.raw_elements()  # GroupTooLarge above ENUMERATION_CAP
-    gens = [(g, _inverse(g)) for g in group.walk()]
+    table = group._chain.table
+    gens = [(table(g), _inverse(g)) for g in group.walk()]
     unseen = set(elements)
     reps = []
     for e in elements:  # deterministic: enumeration order
@@ -636,7 +696,7 @@ def conjugacy_class_representatives(group: PermGroup) -> list[Permutation]:
         cls = {e}
         queue = [e]
         while queue:
-            x = queue.pop()
+            x = table(queue.pop())
             for g, gi in gens:
                 y = _conjugate(x, g, gi)
                 if y not in cls:

@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodex import graph as G
 from geodex.errors import (
@@ -16,6 +18,17 @@ from geodex.errors import (
     VertexOutOfRange,
 )
 from geodex.oracles import geodesics_by_filter, naive_diameter, naive_girth, recursive_arcs
+
+
+@st.composite
+def _connected_graphs(draw, max_n=10):
+    """A random spanning tree plus random extra edges."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = list(itertools.combinations(range(n), 2))
+    if pairs:
+        edges |= draw(st.sets(st.sampled_from(pairs)))
+    return G.build_graph(n, edges)
 
 
 class TestBuildGraph:
@@ -214,6 +227,7 @@ class TestGeodesics:
                 assert G.first_geodesic(g, s) == geos[0]
 
 
+
 def _reference_intersection_array(graph):
     """The intersection array by an O(n m) walk over the distance table:
     against each row, every vertex at distance d counts its neighbors at
@@ -341,6 +355,109 @@ def _array_cases():
 
 
 _ARRAY_CASES = _array_cases()
+
+
+def _reference_arc_count(graph, s):
+    """The number of s-arcs by a fresh dynamic programme over directed
+    edges: at each level, edge (v, w) gets the counts of the edges (u, v)
+    with u != w."""
+    counts = {(u, v): 1 for u in range(graph.n) for v in graph.adjacency[u]}
+    for _ in range(s - 1):
+        nxt = dict.fromkeys(counts, 0)
+        for (u, v), c in counts.items():
+            for w in graph.adjacency[v]:
+                if w != u:
+                    nxt[(v, w)] += c
+        counts = nxt
+    return sum(counts.values())
+
+
+def _reference_geodesic_count(graph, s):
+    """The number of s-geodesics by a fresh s-level walk from every vertex
+    down the layers of its distance row; 0 past the diameter."""
+    if s > G.diameter(graph):
+        return 0
+    dist = G.distance_matrix(graph)
+    total = 0
+    for u in range(graph.n):
+        du = dist[u]
+        level = {u: 1}
+        for depth in range(1, s + 1):
+            nxt = {}
+            for x, c in level.items():
+                for y in graph.adjacency[x]:
+                    if du[y] == depth:
+                        nxt[y] = nxt.get(y, 0) + c
+            level = nxt
+        total += sum(level.values())
+    return total
+
+
+def _count_cases():
+    from geodex.atlas import atlas_list
+
+    cases = {name: _catalog(name) for name in atlas_list()}
+    for n in [*range(3, 13), 300]:
+        cases[f"C{n}"] = functools.partial(_cycle, n)
+    return cases
+
+
+_COUNT_CASES = _count_cases()
+
+
+def _levels(graph):
+    """s = 1 up to two past the diameter; on a large cycle, only the first
+    levels and those around the diameter."""
+    d = G.diameter(graph)
+    if graph.n > 200:
+        return [1, 2, 3, d - 1, d, d + 1, d + 2]
+    return list(range(1, d + 3))
+
+
+def _assert_memoized_counts(graph, levels):
+    """Ask the levels in ascending, descending and repeated order, each run
+    on one fresh graph object, against the references."""
+    fresh = G.build_graph(graph.n, graph.edges())
+    want = {s: (_reference_arc_count(fresh, s), _reference_geodesic_count(fresh, s)) for s in levels}
+    assert want[max(levels)][1] == 0  # past the diameter
+    ascending = sorted(levels)
+    for order in (ascending, ascending[::-1], ascending + ascending[::-1] + ascending):
+        once = G.build_graph(graph.n, graph.edges())
+        for s in order:
+            assert (G.count_arcs(once, s), G.count_geodesics(once, s)) == want[s], s
+
+
+class TestMemoizedCounts:
+    """The per-graph memos of arc and geodesic counts against the per-level
+    dynamic programmes they replace."""
+
+    @pytest.mark.parametrize("name", sorted(_COUNT_CASES))
+    def test_matches_per_level_counts(self, name):
+        graph = _COUNT_CASES[name]()
+        _assert_memoized_counts(graph, _levels(graph))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_connected_graphs(), st.data())
+    def test_random_connected_graphs(self, graph, data):
+        levels = _levels(graph)
+        _assert_memoized_counts(graph, levels)
+        # any order, with repeats, on one graph object
+        order = data.draw(st.lists(st.sampled_from(levels), max_size=12))
+        for s in order:
+            assert G.count_arcs(graph, s) == _reference_arc_count(graph, s)
+            assert G.count_geodesics(graph, s) == _reference_geodesic_count(graph, s)
+
+    def test_memo_grows_on_demand(self):
+        graph = _cycle(8)
+        assert G.count_arcs(graph, 3) == 16
+        totals, _ = graph._cache["arcs"]
+        assert totals == [16, 16, 16]
+        assert G.count_arcs(graph, 2) == 16 and len(totals) == 3
+        assert G.count_arcs(graph, 6) == 16 and len(totals) == 6
+        assert G.count_geodesics(graph, 9) == 0 and "geodesics" not in graph._cache
+        assert G.count_geodesics(graph, 1) == 16
+        # two geodesics from each vertex to its antipode
+        assert graph._cache["geodesics"] == [16, 16, 16, 16]
 
 
 class TestIntersectionData:

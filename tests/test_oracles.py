@@ -170,6 +170,17 @@ def test_capped_closure_is_none_exactly_above_the_cap(gens, cap):
     assert oracles.multiplication_closure_order(gens, full - 1) is None
 
 
+
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 300])
+def test_closure_across_the_byte_boundary(n):
+    # the dihedral group of the n-gon: bytes up to 256 points, tuples above
+    rotation = Permutation(tuple((i + 1) % n for i in range(n)))
+    reflection = Permutation(tuple((-i) % n for i in range(n)))
+    order = {1: 1, 2: 2}.get(n, 2 * n)
+    assert oracles.multiplication_closure_order([rotation, reflection]) == order
+    assert oracles.multiplication_closure_order([rotation, reflection], order - 1) is None
+    assert oracles.multiplication_closure_order([rotation], n) == n
+
 def _assert_normal_structure_matches_oracle(group):
     from geodex import perm
 

@@ -57,8 +57,13 @@ class TestKernels:
             assert type(rp) is (bytes if n <= threshold else tuple)
             assert tuple(perm._compose(rp, rq)) == tuple(q[p[i]] for i in range(n))
             assert tuple(perm._inverse(rp)) == tuple(p.index(i) for i in range(n))
-            # q^-1 * p * q, applied left to right
-            conjugate = perm._conjugate(rp, rq, rq_inv)
+            # q^-1 * p * q, applied left to right, from the right-operand
+            # tables of p and q: 256 bytes, or the image tuple itself
+            form = perm._form(n)
+            p_table, q_table = form.table(rp), form.table(rq)
+            assert len(q_table) == (256 if n <= threshold else n)
+            assert form.apply(rp, q_table) == perm._compose(rp, rq)
+            conjugate = perm._conjugate(p_table, q_table, rq_inv)
             assert tuple(conjugate) == tuple(q[p[q_inv[i]]] for i in range(n))
 
     def test_chain_stores_inverse_transversals(self, foster_aut):
@@ -844,3 +849,84 @@ class TestRawFormBoundary:
         assert [g.images for g in kernel.generators] == [
             tuple(range(100, 200)) + tuple(range(100))
         ]
+
+
+# ---------------------------------------------------------------------------
+# the chain's right-operand tables against plain _compose
+# ---------------------------------------------------------------------------
+
+def _compose_listing(chain):
+    """Every product of one transversal element per level, deepest level
+    innermost, in the order ``raw_elements`` lists them, multiplied by
+    ``_compose``."""
+    out = [chain.identity]
+    for lvl in reversed(chain.levels):
+        transversal = [lvl.transversal[p] for p in sorted(lvl.transversal)]
+        out = [perm._compose(deep, t) for t in transversal for deep in out]
+    return out
+
+
+def _compose_class_reps(group):
+    """The least element of each conjugacy class in listing order, with
+    every conjugate g^-1 x g by a walk generator g made by ``_compose``."""
+    walk = [(g, perm._inverse(g)) for g in group.walk()]
+    seen = set()
+    reps = []
+    for e in group.raw_elements():
+        if e in seen:
+            continue
+        cls = {e}
+        queue = [e]
+        while queue:
+            x = queue.pop()
+            for g, gi in walk:
+                y = perm._compose(perm._compose(gi, x), g)
+                if y not in cls:
+                    cls.add(y)
+                    queue.append(y)
+        seen |= cls
+        reps.append(min(cls))
+    return reps
+
+
+def _table_checks(gens, degree):
+    """(raw form, transversal products sifting to the identity, listing
+    equal to the _compose one, class representatives equal to the _compose
+    ones) for the group of ``gens``."""
+    group = build_group(gens, degree=degree)
+    chain = group._chain
+    listing = _compose_listing(chain)
+    stripped = (chain.identity, len(chain.levels))
+    reps = [r.images for r in perm.conjugacy_class_representatives(group)]
+    return (
+        type(chain.identity),
+        all(chain.sift(e) == stripped for e in listing),
+        group.raw_elements() == listing,
+        reps == [tuple(r) for r in _compose_class_reps(group)],
+    )
+
+
+class TestChainTables:
+    """Sifting, element listing and conjugation through prebuilt tables give
+    what plain ``_compose`` gives, on bytes and on image tuples."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(generator_sets(max_degree=7))
+    def test_random_groups(self, case):
+        n, gens = case
+        on_bytes, on_tuples = _on_both_paths(lambda: _table_checks(gens, n))
+        assert on_bytes == (bytes, True, True, True)
+        assert on_tuples == (bytes if n == 1 else tuple, True, True, True)
+
+    def test_catalog_groups(self, foster_aut, petersen_aut):
+        m11 = [cyc(11, tuple(range(11))), cyc(11, (2, 6, 10, 7), (3, 9, 4, 5))]
+        for gens, degree in [(foster_aut.generators, 90), (petersen_aut.generators, 10), (m11, 11)]:
+            on_bytes, on_tuples = _on_both_paths(lambda: _table_checks(gens, degree))
+            assert on_bytes == (bytes, True, True, True)
+            assert on_tuples == (tuple, True, True, True)
+
+    def test_c300(self):
+        # above degree 256 the tables are the image tuples on either path
+        group = _cycle_aut(300)
+        on_bytes, on_tuples = _on_both_paths(lambda: _table_checks(group.generators, 300))
+        assert on_bytes == on_tuples == (tuple, True, True, True)
