@@ -612,21 +612,19 @@ def pointwise_stabilizer(group: PermGroup, points) -> PermGroup:
     One chain build memoizes, in ``group._cache``, the stabilizer of every
     prefix of the de-duplicated point tuple.
     """
-    pts = []
-    for p in points:
+    pts = tuple(dict.fromkeys(points))  # first occurrences, in order
+    for p in pts:
         if not 0 <= p < group.degree:
             raise PointOutOfRange(f"point {p} outside 0..{group.degree - 1}")
-        if p not in pts:
-            pts.append(p)
     if not pts:
         return group
-    key = ("stabilizer", tuple(pts))
+    key = ("stabilizer", pts)
     if key in group._cache:
         return group._cache[key]
     # the other generators would be sifted into the chain and skipped
     chain = _build_chain(group.degree, group.walk(), base_hint=pts)
     for j in range(1, len(pts) + 1):
-        prefix = ("stabilizer", tuple(pts[:j]))
+        prefix = ("stabilizer", pts[:j])
         if prefix not in group._cache:
             # the chain suffix below the first j base points is itself a chain
             sub = _Chain(group.degree)

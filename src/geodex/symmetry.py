@@ -7,8 +7,11 @@ every mapped vertex.  Up to 256 vertices the distance rows are bytes, and a
 candidate's check is one ``bytes.translate`` of the mapped vertices' images
 through its row, compared with the bytes of the source vertex's distances to
 them, which are memoized with the extension order.  It fixes its base by
-refinement alone, each level
-branching on the least vertex of a largest non-singleton cell, then settles
+refinement alone: each level refines its parent's colors, seeded with the
+parent's branch vertex's distances (the partitions are those of refining
+the whole individualized prefix from scratch, but the color ids differ, so
+a tie between largest cells may name another cell), and branches on the
+least vertex of a largest non-singleton cell.  It then settles
 the levels deepest first, as nauty does (McKay & Piperno, *Practical graph
 isomorphism II*, 2014): the generators of the deeper levels fix every earlier
 base point, so their orbits carry a refuted target's failure to the targets
@@ -19,8 +22,10 @@ discrete, so |Aut| is the product of those orbit lengths.  The group it
 returns builds its stabilizer chain only on first use, from its generators as
 ``build_group`` would, and raises AssertionError if the chain's order differs
 from that product.
-The isomorphism test first compares the two graphs' sorted distance rows, an
-invariant that tells most non-isomorphic pairs with equal degrees apart.
+The isomorphism test first compares the multisets of the two graphs'
+per-row distance counts (how many vertices lie at each distance from a
+vertex), an invariant that tells most non-isomorphic pairs with equal
+degrees apart.
 Past that, it runs the same search from one root
 vertex to each target in its cell, but first individualizes both and refines
 them against one trace (McKay, *Practical graph isomorphism*, 1981): a target
@@ -271,9 +276,20 @@ def _base_levels(graph: Graph):
     """(fixed prefix, refined colors, sorted branch cell, branch vertex) per
     level, top-down, until the refined partition is discrete.
 
-    Each level individualizes the earlier levels' branch vertices, refines,
-    and branches on the least vertex of a largest non-singleton cell (lowest
-    color on ties), the cell rule of McKay & Piperno (2014).  A small cell
+    The first level refines from one cell.  Each later level refines from
+    its parent's stable colors, seeded with the parent's branch vertex v's
+    distances (McKay, 1981): vertex u starts at ``c * (D + 1) + d(v, u)``
+    for its parent color c and the diameter D, an integer that sorts as the
+    pair (c, d) does, so color ids stay label-independent.  The partition is
+    the one that individualizing the whole prefix and refining from the
+    degree-level colors would give: an equitable partition with v as a
+    singleton already splits by distance from v, so both are the coarsest
+    equitable partition below the degree-level colors with the prefix
+    individualized.  Only the color ids differ, and with them which of two
+    largest cells the tie-break names.
+
+    Each level branches on the least vertex of a largest non-singleton cell
+    (lowest color on ties), the cell rule of McKay & Piperno (2014).  A small cell
     left over by refinement is often a union of fixed points of the prefix
     stabilizer: on PG(2,q), once a point and three lines through it are
     fixed, so is every line through it, yet refinement keeps the rest in one
@@ -281,17 +297,12 @@ def _base_levels(graph: Graph):
     and W(4) at catalog labels settle with no failing search).  The base
     depends only on refinement, never on what a search finds.
     """
-    n = graph.n
-    base_colors = _refine(graph.adjacency, [0] * n)
+    dist = graphmod.distance_matrix(graph)
+    span = graphmod.diameter(graph) + 1
+    level_colors = _refine(graph.adjacency, [0] * graph.n)
     levels = []
     fixed: list[int] = []
     while True:
-        work = list(base_colors)
-        shift = n  # individualized points get fresh unique colors
-        for f in fixed:
-            work[f] = shift
-            shift += 1
-        level_colors = _refine(graph.adjacency, work)
         cells: dict[int, list[int]] = {}
         for u, c in enumerate(level_colors):
             cells.setdefault(c, []).append(u)
@@ -299,9 +310,12 @@ def _base_levels(graph: Graph):
         if not candidates:
             return levels
         _, _, branch = min(candidates, key=lambda item: item[:2])
-        v = min(branch)
-        levels.append((tuple(fixed), level_colors, sorted(branch), v))
+        v = branch[0]  # cells list their vertices in ascending order
+        levels.append((tuple(fixed), level_colors, branch, v))
         fixed.append(v)
+        level_colors = _refine(
+            graph.adjacency, [c * span + d for c, d in zip(level_colors, dist[v])]
+        )
 
 
 def automorphism_group(graph: Graph) -> PermGroup:
@@ -366,8 +380,8 @@ def automorphism_group(graph: Graph) -> PermGroup:
 def are_isomorphic(g1: Graph, g2: Graph):
     """A vertex bijection g1 -> g2 (as an image tuple), or None.
 
-    Connected graphs whose multisets of sorted distance rows differ are not
-    isomorphic, and are rejected before any root target is refined.
+    Connected graphs whose multisets of per-row distance counts differ are
+    not isomorphic, and are rejected before any root target is refined.
     Otherwise a root of g1 in a smallest degree-level cell is refined once
     from its distances, and its trace recorded; each target t of g2 in that
     cell is refined from its own distances against the trace and skipped at
@@ -407,8 +421,12 @@ def are_isomorphic(g1: Graph, g2: Graph):
     # individualizing a vertex forces the distance partition from it, so
     # seeding with distances reaches the same stable partition in fewer rounds
     dist1, dist2 = graphmod.distance_matrix(g1), graphmod.distance_matrix(g2)
-    # the multiset of sorted distance rows is an isomorphism invariant
-    if sorted(map(sorted, dist1)) != sorted(map(sorted, dist2)):
+    # the multiset of per-row distance counts is an isomorphism invariant;
+    # counting up to g1's diameter also tells a g2 of another diameter apart
+    span = range(graphmod.diameter(g1) + 1)
+    if sorted(list(map(row.count, span)) for row in dist1) != sorted(
+        list(map(row.count, span)) for row in dist2
+    ):
         return None
     trace: list = []
     root_colors = _refine(g1.adjacency, list(zip(colors1, dist1[root])), trace)

@@ -293,6 +293,24 @@ class TestPointwiseStabilizer:
         assert len(chain_builds) == 1  # every prefix was a memo hit
         assert fresh[-1].order() == 1
 
+    def test_repeated_points_share_the_first_occurrence_entry(self, foster_aut, chain_builds):
+        group = build_group(foster_aut.generators)
+        chain_builds.clear()
+        first = perm.pointwise_stabilizer(group, [5, 0, 5, 7, 0, 7])
+        assert len(chain_builds) == 1
+        # memo keys are the de-duplicated points in first-occurrence order,
+        # one per prefix
+        keys = sorted(k[1] for k in group._cache if k[0] == "stabilizer")
+        assert keys == [(5,), (5, 0), (5, 0, 7)]
+        assert perm.pointwise_stabilizer(group, (5, 0, 7)) is first
+        assert perm.pointwise_stabilizer(group, iter([5, 5, 0, 7, 7])) is first
+        assert perm.pointwise_stabilizer(group, [5, 0, 5]) is group._cache[("stabilizer", (5, 0))]
+        assert len(chain_builds) == 1  # every later call was a memo hit
+        assert all(g(p) == p for g in first.generators for p in (0, 5, 7))
+        # a point out of range is refused on a memo hit too
+        with pytest.raises(PointOutOfRange):
+            perm.pointwise_stabilizer(group, [5, 0, 7, 5, group.degree])
+
     def test_petersen_two_geodesic_stabilizer(self, petersen, petersen_aut):
         from geodex.graph import first_geodesic
 
@@ -511,14 +529,14 @@ class TestWalkList:
             self._check(closure)
 
     def test_catalog_walk_lengths(self, ctx):
-        # generators -> walk: Foster 5 -> 2, Biggs-Smith 5 -> 3,
+        # generators -> walk: Foster 6 -> 2, Biggs-Smith 5 -> 3,
         # Tutte-Coxeter 7 -> 2, hexagon-q2 7 -> 2
         lengths = {
             name: (len(ctx.aut(name).generators), len(ctx.aut(name).walk()))
             for name in ("foster", "biggs-smith", "tutte-coxeter", "hexagon-q2")
         }
         assert lengths == {
-            "foster": (5, 2),
+            "foster": (6, 2),
             "biggs-smith": (5, 3),
             "tutte-coxeter": (7, 2),
             "hexagon-q2": (7, 2),

@@ -234,14 +234,76 @@ def test_equal_distance_profiles_reach_the_search(searches, traced_refinements):
     # distance partition from any vertex is already equitable, so no root
     # target is refuted before its search
     shrikhande, rook = _shrikhande(), _rook_4x4()
-    profile = [sorted(map(sorted, graphmod.distance_matrix(g))) for g in (shrikhande, rook)]
-    assert profile[0] == profile[1]
+    assert _sorted_row_profile(shrikhande) == _sorted_row_profile(rook)
     assert S.are_isomorphic(shrikhande, rook) is None
     assert len(traced_refinements) == 1 + 16
     assert sorted(t for (_, t), in searches) == list(range(16))
     nx = pytest.importorskip("networkx")
     hx = [nx.Graph(list(g.edges())) for g in (shrikhande, rook)]
     assert not nx.is_isomorphic(*hx)
+
+
+def _sorted_row_profile(graph):
+    """The distance profile as it was compared before it counted distances
+    per row: the multiset of sorted distance rows, kept as the reference."""
+    return sorted(map(sorted, graphmod.distance_matrix(graph)))
+
+
+def _assert_profile_gate_matches_reference(g1, g2, traced_refinements):
+    """``are_isomorphic(g1, g2)`` (g1 connected) refines its root iff the pair
+    passes the checks before the profile and the reference profiles agree."""
+    traced_refinements.clear()
+    S.are_isomorphic(g1, g2)
+    before_profile = (
+        g1.n == g2.n
+        and g1.m == g2.m
+        and g2.connected
+        and sorted(g1.degrees()) == sorted(g2.degrees())
+        and sorted(S._refine(g1.adjacency, [0] * g1.n))
+        == sorted(S._refine(g2.adjacency, [0] * g2.n))
+    )
+    want = before_profile and _sorted_row_profile(g1) == _sorted_row_profile(g2)
+    assert bool(traced_refinements) == want
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(connected_graphs(max_n=12), st.data())
+def test_distance_counts_reject_the_pairs_sorted_rows_reject(traced_refinements, graph, data):
+    n = graph.n
+    others = [
+        _relabel(graph, data.draw(st.permutations(range(n)))),
+        data.draw(connected_graphs(max_n=12)),
+    ]
+    edges = sorted(graph.edges())
+    if len(edges) >= 2:
+        pair = st.lists(st.sampled_from(edges), min_size=2, max_size=2, unique=True)
+        (a, b), (c, d) = data.draw(pair)
+        if data.draw(st.booleans()):
+            c, d = d, c
+        swapped = _swap(graph, a, b, c, d)
+        if swapped is not None:
+            others.append(_relabel(swapped, data.draw(st.permutations(range(n)))))
+    for other in others:
+        _assert_profile_gate_matches_reference(graph, other, traced_refinements)
+
+
+@pytest.mark.parametrize("name", atlas_list())
+def test_distance_counts_reject_the_pairs_sorted_rows_reject_on_catalog(traced_refinements, name):
+    graph = atlas_get(name).graph
+    rng = random.Random(name)
+    edges = sorted(graph.edges())
+    for _ in range(4):
+        images = list(range(graph.n))
+        rng.shuffle(images)
+        _assert_profile_gate_matches_reference(graph, _relabel(graph, images), traced_refinements)
+        (a, b), (c, d) = rng.sample(edges, 2)
+        swapped = _swap(graph, a, b, c, d)
+        if swapped is not None and swapped.connected:
+            _assert_profile_gate_matches_reference(graph, swapped, traced_refinements)
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +484,74 @@ def test_automorphism_count_agrees_with_networkx():
 
 
 # ---------------------------------------------------------------------------
+# levels refined from their parent, against refinement from scratch
+# ---------------------------------------------------------------------------
+
+@st.composite
+def trees(draw, max_n=14):
+    """A random tree: each vertex after the first hangs from an earlier one."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    return build_graph(n, {(draw(st.integers(0, v - 1)), v) for v in range(1, n)})
+
+
+def _cells(colors):
+    """The partition a coloring induces, as sorted vertex lists, ids ignored."""
+    cells: dict[int, list[int]] = {}
+    for u, c in enumerate(colors):
+        cells.setdefault(c, []).append(u)
+    return sorted(cells.values())
+
+
+def _reference_level_partition(graph, prefix):
+    """A level's partition as it was computed before levels were refined
+    from their parent: the degree-level colors with every prefix point given
+    a fresh unique color, refined from scratch."""
+    work = S._refine(graph.adjacency, [0] * graph.n)
+    for shift, f in enumerate(prefix, graph.n):
+        work[f] = shift
+    return _cells(S._refine(graph.adjacency, work))
+
+
+def _assert_levels_match_refinement_from_scratch(graph):
+    levels = S._base_levels(graph)
+    prefix: tuple[int, ...] = ()
+    for fixed, colors, branch, v in levels:
+        assert fixed == prefix
+        cells = _cells(colors)
+        assert cells == _reference_level_partition(graph, fixed)
+        assert branch in cells and len(branch) == max(map(len, cells)) > 1
+        assert v == min(branch)
+        prefix = fixed + (v,)
+    # the levels end where the individualized prefix refines to singletons
+    assert len(_reference_level_partition(graph, prefix)) == graph.n
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(connected_graphs(max_n=14), trees()))
+def test_level_partitions_match_refinement_from_scratch(graph):
+    _assert_levels_match_refinement_from_scratch(graph)
+
+
+@pytest.mark.parametrize("name", atlas_list())
+def test_level_partitions_match_refinement_from_scratch_on_catalog(name):
+    _assert_levels_match_refinement_from_scratch(atlas_get(name).graph)
+
+
+@pytest.mark.parametrize("name", ["foster", "PG(2,4)", "W(3)"])
+def test_level_partitions_match_refinement_from_scratch_on_relabelings(name):
+    base = {
+        "foster": lambda: atlas_get("foster").graph,
+        "PG(2,4)": lambda: pg2_incidence(4),
+        "W(3)": lambda: symplectic_quadrangle(3),
+    }[name]()
+    rng = random.Random(name)
+    for _ in range(2):
+        images = list(range(base.n))
+        rng.shuffle(images)
+        _assert_levels_match_refinement_from_scratch(_relabel(base, images))
+
+
+# ---------------------------------------------------------------------------
 # levels settled deepest first, against the top-down pass
 # ---------------------------------------------------------------------------
 
@@ -429,29 +559,16 @@ def _reference_automorphism_group(graph):
     """``automorphism_group`` as it was before its levels were settled deepest
     first: each level in turn, top-down, with a candidate skipped only when
     its orbit under that level's own generators meets a refuted point.  It
-    branches on the library's cell, a largest one, lowest color on ties."""
-    base_colors = S._refine(graph.adjacency, [0] * graph.n)
-    n = graph.n
+    takes the library's levels, so it checks the settling order, not the
+    refinement (``test_level_partitions_match_refinement_from_scratch`` checks
+    that)."""
     gens_raw = []
-    fixed = []
     order = 1
-    while True:
-        work = list(base_colors)
-        for shift, f in enumerate(fixed, n):
-            work[f] = shift
-        level_colors = S._refine(graph.adjacency, work)
-        cells: dict[int, list[int]] = {}
-        for u, c in enumerate(level_colors):
-            cells.setdefault(c, []).append(u)
-        candidates = [(-len(cell), c, cell) for c, cell in cells.items() if len(cell) > 1]
-        if not candidates:
-            break
-        _, _, branch = min(candidates, key=lambda item: item[:2])
-        v = min(branch)
+    for fixed, level_colors, branch, v in S._base_levels(graph):
         level_gens = []
         reached = {v}
         failed: set[int] = set()
-        for w in sorted(branch):
+        for w in branch:
             if w == v or w in reached:
                 continue
             orbit_w = S.permmod._orbit(level_gens, (w,))
@@ -468,7 +585,6 @@ def _reference_automorphism_group(graph):
                 failed |= orbit_w
         gens_raw.extend(level_gens)
         order *= len(reached)
-        fixed.append(v)
     return gens_raw, order
 
 
