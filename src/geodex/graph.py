@@ -7,7 +7,6 @@ Disconnected otherwise.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
@@ -22,7 +21,6 @@ from .errors import (
     TruncatedPayload,
     VertexOutOfRange,
 )
-from .perm import _BYTES_DEGREE
 
 
 @dataclass(frozen=True)
@@ -86,13 +84,12 @@ class Graph:
 
 def _bfs_reach(adjacency, root) -> set[int]:
     seen = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
+    order = [root]
+    for u in order:
         for v in adjacency[u]:
             if v not in seen:
                 seen.add(v)
-                queue.append(v)
+                order.append(v)
     return seen
 
 
@@ -187,25 +184,26 @@ def _distance_table(graph: Graph) -> tuple:
     n-byte ints along every edge (about five BFS rows' worth on C256), so
     it wins only when D is small against n.  Vertex 0's eccentricity e
     bounds D by 2e, and lanes run when 10e <= n, so D <= n/5, and when
-    2e <= 255, so every distance fits a byte lane.  Above 256 vertices the
-    lane rows become tuples, as the BFS rows are.
+    2e <= 255, so every distance fits a byte lane.  BFS rows are scanned
+    for a distance past 255 only when 2e passes it.
     """
     adjacency = graph.adjacency
     n = graph.n
     first = _distance_row(adjacency, 0)
-    raw = bytes if n <= _BYTES_DEGREE else tuple
     e = max(first)
     if 10 * e <= n and 2 * e <= 255:
-        rows = _lane_table(adjacency)
-        return rows if raw is bytes else tuple(map(tuple, rows))
-    return (raw(first),) + tuple(raw(_distance_row(adjacency, u)) for u in range(1, n))
+        return _lane_table(adjacency)
+    raw = bytes if 2 * e <= 255 else tuple
+    rows = (raw(first),) + tuple(raw(_distance_row(adjacency, u)) for u in range(1, n))
+    if raw is tuple and max(map(max, rows)) <= 255:
+        return tuple(map(bytes, rows))
+    return rows
 
 
 def distance_matrix(graph: Graph) -> tuple:
     """All-pairs distances (cached), one row per vertex; requires a connected
-    graph.  Up to 256 vertices (``perm._BYTES_DEGREE``) every distance fits
-    a byte and each row is ``bytes``; above, each row is a tuple of ints,
-    whether BFS or ``_lane_table`` built the table."""
+    graph.  Each row is ``bytes`` while every distance fits a byte, at any
+    vertex count, and a tuple of ints once the diameter passes 255."""
     if "distmat" not in graph._cache:
         if not graph.connected:
             raise Disconnected("distance matrix undefined on a disconnected graph")
@@ -238,39 +236,39 @@ def girth(graph: Graph) -> int | None:
     """Length of a shortest cycle, or None for a forest (cached).
 
     A BFS from each root bounds the girth by dist[x] + dist[y] + 1 for every
-    non-tree edge {x, y}: the tree paths from x and y meet at their lowest
-    common ancestor and close a cycle no longer than that.  From a root on a
-    shortest cycle some non-tree edge gives exactly the girth, so the least
+    edge {x, y} with dist[y] >= dist[x], which leaves out the tree edge to
+    x's parent one level up: the tree paths from x and y meet at their
+    lowest common ancestor and close a cycle no longer than that.  From a root on a
+    shortest cycle some such edge gives exactly the girth, so the least
     bound over all roots is the girth.  Every bound from a vertex x at
     level dx is at least 2dx + 1, and at least 2dx + 2 on a bipartite graph,
     where no edge lies inside a level; the BFS stops at the first x whose
-    least bound cannot beat the best.
+    least bound cannot beat the best.  All roots share one ``dist`` list,
+    and each BFS resets only the vertices it reached, so a graph of many
+    small components costs time linear in its size.
     """
     if "girth" in graph._cache:
         return graph._cache["girth"]
     least = 2 if bipartition(graph) is not None else 1
     best = None
     adjacency = graph.adjacency
-    n = graph.n
-    for root in range(n):
-        dist = [-1] * n
-        parent = [-1] * n
+    dist = [-1] * graph.n
+    for root in range(graph.n):
         dist[root] = 0
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
+        order = [root]
+        for x in order:
             dx = dist[x]
             if best is not None and 2 * dx + least >= best:
                 break
             for y in adjacency[x]:
-                if dist[y] < 0:
+                dy = dist[y]
+                if dy < 0:
                     dist[y] = dx + 1
-                    parent[y] = x
-                    queue.append(y)
-                elif y != parent[x] and dist[y] >= dx:
-                    bound = dx + dist[y] + 1
-                    if best is None or bound < best:
-                        best = bound
+                    order.append(y)
+                elif dy >= dx and (best is None or dx + dy + 1 < best):
+                    best = dx + dy + 1
+        for x in order:
+            dist[x] = -1
     graph._cache["girth"] = best
     return best
 
@@ -279,28 +277,22 @@ def shortest_cycle_through_edge(graph: Graph, u: int, v: int) -> list[int] | Non
     """Shortest cycle containing edge {u, v}, or None if the edge is a bridge."""
     if not graph.has_edge(u, v):
         raise VertexOutOfRange(f"{{{u},{v}}} is not an edge")
-    dist = [-1] * graph.n
     parent = [-1] * graph.n
-    dist[u] = 0
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
+    parent[u] = u
+    order = [u]
+    for x in order:
+        if parent[v] >= 0:
+            break
         for y in graph.adjacency[x]:
-            if x == u and y == v:
-                continue
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
+            if parent[y] < 0 and (x, y) != (u, v):
                 parent[y] = x
-                queue.append(y)
-                if y == v:
-                    queue.clear()
-                    break
-    if dist[v] < 0:
+                order.append(y)
+    if parent[v] < 0:
         return None
     path = [v]
     while path[-1] != u:
         path.append(parent[path[-1]])
-    return list(reversed(path))
+    return path[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +498,8 @@ def _intersection_array(graph: Graph) -> IntersectionArray | None:
     width = 1
     while 256**width <= max(span, k):
         width += 1
-    # the rows end to end, one byte per distance while every one fits
-    flat = tuple(chain.from_iterable(rows)) if span > 256 else b"".join(map(bytes, rows))
+    # the rows end to end: bytes while every distance fits a byte
+    flat = tuple(chain.from_iterable(rows)) if span > 256 else b"".join(rows)
     pairs = _lanes(flat, range(span), width)
     size = n * width
     row_lanes = [pairs[i : i + size] for i in range(0, n * size, size)]
@@ -559,19 +551,20 @@ def _lanes(keys, table, width: int) -> bytes | bytearray:
 
 def bipartition(graph: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """2-coloring classes (first class holds the least vertex of each component)."""
+    adjacency = graph.adjacency
     color = [-1] * graph.n
     for root in range(graph.n):
         if color[root] >= 0:
             continue
         color[root] = 0
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for y in graph.adjacency[x]:
+        order = [root]
+        for x in order:
+            other = 1 - color[x]
+            for y in adjacency[x]:
                 if color[y] < 0:
-                    color[y] = 1 - color[x]
-                    queue.append(y)
-                elif color[y] == color[x]:
+                    color[y] = other
+                    order.append(y)
+                elif color[y] != other:
                     return None
     part0 = tuple(v for v in range(graph.n) if color[v] == 0)
     part1 = tuple(v for v in range(graph.n) if color[v] == 1)
@@ -590,33 +583,22 @@ class ShapeInfo:
 
 
 def classify_shape(graph: Graph) -> ShapeInfo:
-    """Bipartiteness (with the 2-coloring) and complete-multipartite structure."""
-    two_coloring = bipartition(graph)
-    # complete multipartite <=> every component of the complement is an
-    # independent set of the graph (the components are then the parts)
-    adjsets = graph.neighbor_sets()
-    unvisited = set(range(graph.n))
-    parts = []
-    is_cm = True
-    while unvisited and is_cm:
-        root = min(unvisited)
-        comp = {root}
-        queue = [root]
-        while queue:
-            x = queue.pop()
-            non_nbrs = unvisited - adjsets[x] - comp
-            comp |= non_nbrs
-            queue.extend(non_nbrs)
-        unvisited -= comp
-        for x in comp:
-            if adjsets[x] & comp:
-                is_cm = False
-                break
-        parts.append(tuple(sorted(comp)))
+    """Bipartiteness (with the 2-coloring) and complete-multipartite structure.
+
+    Vertices are grouped by neighbor set.  The graph is complete multipartite
+    iff every class P with neighbor set N has |N| + |P| = n: no vertex
+    neighbors itself, so P and N are disjoint, and then N is everything
+    outside P.  The classes, each listed from its least vertex, are the
+    parts.
+    """
+    classes: dict[frozenset[int], list[int]] = {}
+    for v, nbrs in enumerate(graph.neighbor_sets()):
+        classes.setdefault(nbrs, []).append(v)
+    is_cm = all(len(nbrs) + len(part) == graph.n for nbrs, part in classes.items())
     return ShapeInfo(
-        bipartition=two_coloring,
+        bipartition=bipartition(graph),
         complete_multipartite=is_cm,
-        parts=tuple(parts) if is_cm else None,
+        parts=tuple(map(tuple, classes.values())) if is_cm else None,
     )
 
 

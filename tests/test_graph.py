@@ -31,6 +31,14 @@ def _connected_graphs(draw, max_n=10):
     return G.build_graph(n, edges)
 
 
+@st.composite
+def _graphs(draw, max_n=9):
+    """Any simple graph, edgeless and disconnected ones included."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    return G.build_graph(n, draw(st.sets(st.sampled_from(pairs))) if pairs else ())
+
+
 class TestBuildGraph:
     def test_k2(self):
         g = G.build_graph(2, [(0, 1)])
@@ -79,7 +87,9 @@ class TestDistances:
         assert G.diameter(ctx.graph("biggs-smith")) == 7
 
     @pytest.mark.parametrize(
-        ("n", "row_type"), [(8, bytes), (256, bytes), (257, tuple)], ids=["C8", "C256", "C257"]
+        ("n", "row_type"),
+        [(8, bytes), (256, bytes), (257, bytes), (512, tuple)],
+        ids=["C8", "C256", "C257", "C512"],
     )
     def test_row_types(self, n, row_type):
         # a row is bytes while every distance fits a byte; distances() is a tuple
@@ -336,7 +346,7 @@ def _array_cases():
     cases = {name: _catalog(name) for name in atlas_list()}
     cases.update({f"PG(2,{q})": _catalog(f"PG(2,{q})") for q in (2, 3, 4, 5, 7, 8)})
     cases.update({f"W({q})": _catalog(f"W({q})") for q in (2, 3, 4)})
-    # K200,200 has tuple rows (400 vertices) and byte lanes (valency 200);
+    # K200,200 has byte rows on 400 vertices and byte lanes (valency 200);
     # K256,256's valency 256 needs two-byte lanes
     cases.update({f"K{n},{n}": functools.partial(_knn, n) for n in (2, 3, 127, 128, 200, 256)})
     # C510 to C512 have diameters 255 and 256: two-byte lanes, and distances
@@ -564,6 +574,62 @@ class TestShapes:
         shape = G.classify_shape(k4)
         assert shape.complete_multipartite
         assert len(shape.parts) == 4
+
+    @staticmethod
+    def _reference(graph):
+        """(complete multipartite, parts) by brute force: the graph is
+        complete multipartite iff non-adjacency of distinct vertices is
+        transitive, and its parts are then the classes of that relation."""
+        n = graph.n
+        apart = [[u == v or not graph.has_edge(u, v) for v in range(n)] for u in range(n)]
+        for u, v, w in itertools.product(range(n), repeat=3):
+            if apart[u][v] and apart[v][w] and not apart[u][w]:
+                return False, None
+        parts = {tuple(v for v in range(n) if apart[u][v]) for u in range(n)}
+        return True, tuple(sorted(parts))
+
+    def _check(self, graph):
+        shape = G.classify_shape(graph)
+        assert (shape.complete_multipartite, shape.parts) == self._reference(graph)
+        assert shape.bipartition == G.bipartition(graph)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_graphs())
+    def test_matches_brute_force(self, graph):
+        self._check(graph)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
+    def test_edgeless_and_complete(self, n):
+        edgeless = G.build_graph(n, [])
+        complete = G.build_graph(n, itertools.combinations(range(n), 2))
+        for graph in (edgeless, complete):
+            self._check(graph)
+        assert G.classify_shape(edgeless).parts == ((tuple(range(n)),) if n else ())
+        assert G.classify_shape(complete).parts == tuple((v,) for v in range(n))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_relabeled_complete_multipartite(self, seed):
+        rng = random.Random(seed)
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 5))]
+        labels = [i for i, size in enumerate(sizes) for _ in range(size)]
+        n = len(labels)
+        images = list(range(n))
+        rng.shuffle(images)
+        part_of = {images[u]: labels[u] for u in range(n)}
+        graph = G.build_graph(
+            n, [(u, v) for u, v in itertools.combinations(range(n), 2) if part_of[u] != part_of[v]]
+        )
+        self._check(graph)
+        shape = G.classify_shape(graph)
+        assert shape.complete_multipartite
+        assert sorted(map(len, shape.parts)) == sorted(sizes)
+        # an edge inside a part of three or more breaks the structure (one
+        # inside a part of two splits it into two parts)
+        big = next((part for part in shape.parts if len(part) > 2), None)
+        if big is not None:
+            broken = G.build_graph(n, graph.edges() + [big[:2]])
+            self._check(broken)
+            assert not G.classify_shape(broken).complete_multipartite
 
 
 class TestLCF:

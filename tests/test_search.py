@@ -854,7 +854,7 @@ def _knn(n):
 )
 def test_distance_matrix_matches_floyd_warshall_on_short_diameters(name, lane_builds):
     # vertex 0's eccentricity is at most n/10: the table is built bit-parallel,
-    # above 256 vertices too, where its rows are tuples
+    # above 256 vertices too, and its rows are bytes, as every distance fits
     base = {
         "foster": lambda: atlas_get("foster").graph,
         "pg2-4": lambda: pg2_incidence(4),
@@ -869,7 +869,7 @@ def test_distance_matrix_matches_floyd_warshall_on_short_diameters(name, lane_bu
     rows = graphmod.distance_matrix(graph)
     assert [list(row) for row in rows] == oracles.floyd_warshall(graph)
     assert lane_builds == [graph.n]
-    assert {type(row) for row in rows} == {bytes if graph.n <= 256 else tuple}
+    assert {type(row) for row in rows} == {bytes}
 
 
 def _relabeled(graph, seed):

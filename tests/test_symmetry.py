@@ -87,10 +87,11 @@ class TestAutomorphismGroup:
         S.weiss_divisibility_check(foster, aut, 5)
         assert len(tables) == 1 and len(tables[0]) == foster.n
 
-    @pytest.mark.parametrize("n", [256, 257])
+    @pytest.mark.parametrize("n", [256, 257, 512])
     def test_cycles_either_side_of_byte_rows(self, n):
-        # C256 is the last graph with bytes distance rows, C257 the first
-        # with tuples; Aut(C_n) is dihedral of order 2n
+        # C256 and C257 straddle the 256 vertices up to which the search
+        # pads byte rows for one translate, and C512's diameter 256 gives
+        # tuple rows; Aut(C_n) is dihedral of order 2n
         cycle = graphmod.build_graph(n, [(i, (i + 1) % n) for i in range(n)])
         assert S.automorphism_group(cycle).order() == 2 * n
         images = list(range(n))
