@@ -184,8 +184,8 @@ def _distance_table(graph: Graph) -> tuple:
     n-byte ints along every edge (about five BFS rows' worth on C256), so
     it wins only when D is small against n.  Vertex 0's eccentricity e
     bounds D by 2e, and lanes run when 10e <= n, so D <= n/5, and when
-    2e <= 255, so every distance fits a byte lane.  BFS rows are scanned
-    for a distance past 255 only when 2e passes it.
+    2e <= 255, so every distance fits a byte lane.  BFS rows become bytes
+    unless a distance passes 255, and tuples then.
     """
     adjacency = graph.adjacency
     n = graph.n
@@ -193,11 +193,11 @@ def _distance_table(graph: Graph) -> tuple:
     e = max(first)
     if 10 * e <= n and 2 * e <= 255:
         return _lane_table(adjacency)
-    raw = bytes if 2 * e <= 255 else tuple
-    rows = (raw(first),) + tuple(raw(_distance_row(adjacency, u)) for u in range(1, n))
-    if raw is tuple and max(map(max, rows)) <= 255:
+    rows = [first] + [_distance_row(adjacency, u) for u in range(1, n)]
+    try:
         return tuple(map(bytes, rows))
-    return rows
+    except ValueError:
+        return tuple(map(tuple, rows))
 
 
 def distance_matrix(graph: Graph) -> tuple:

@@ -380,8 +380,8 @@ def automorphism_group(graph: Graph) -> PermGroup:
 def are_isomorphic(g1: Graph, g2: Graph):
     """A vertex bijection g1 -> g2 (as an image tuple), or None.
 
-    Connected graphs whose multisets of per-row distance counts differ are
-    not isomorphic, and are rejected before any root target is refined.
+    Connected graphs whose diameters or multisets of per-row distance
+    counts differ are not isomorphic, and are rejected before any root target is refined.
     Otherwise a root of g1 in a smallest degree-level cell is refined once
     from its distances, and its trace recorded; each target t of g2 in that
     cell is refined from its own distances against the trace and skipped at
@@ -421,8 +421,10 @@ def are_isomorphic(g1: Graph, g2: Graph):
     # individualizing a vertex forces the distance partition from it, so
     # seeding with distances reaches the same stable partition in fewer rounds
     dist1, dist2 = graphmod.distance_matrix(g1), graphmod.distance_matrix(g2)
-    # the multiset of per-row distance counts is an isomorphism invariant;
-    # counting up to g1's diameter also tells a g2 of another diameter apart
+    # equal diameters give both tables the same row type; then the multiset
+    # of per-row distance counts is an isomorphism invariant
+    if graphmod.diameter(g1) != graphmod.diameter(g2):
+        return None
     span = range(graphmod.diameter(g1) + 1)
     if sorted(list(map(row.count, span)) for row in dist1) != sorted(
         list(map(row.count, span)) for row in dist2

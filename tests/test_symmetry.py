@@ -145,6 +145,38 @@ class TestIsomorphism:
         g3 = build_graph(6, [(0, 1), (2, 3), (4, 5)])
         assert S.are_isomorphic(g1, g3) is None
 
+    def test_cubic_pair_across_the_byte_row_diameter(self):
+        # both cubic on 510 vertices, so degrees and colour refinement agree:
+        # a necklace of 125 diamonds (K4 less an edge) joined by bridges and
+        # capped at each end by a K4 with one edge subdivided has diameter
+        # past 255 and tuple rows; the prism C255 x K2 has byte rows
+        edges = []
+        for i in range(125):
+            a, b, c, d = range(4 * i, 4 * i + 4)
+            edges += [(a, b), (a, c), (b, c), (b, d), (c, d)]
+            if i:
+                edges.append((4 * i - 1, a))
+        for end, x in ((0, 500), (499, 505)):
+            a, b, c, d = range(x + 1, x + 5)
+            edges += [(end, x), (x, a), (x, b), (a, c), (a, d), (b, c), (b, d), (c, d)]
+        necklace = build_graph(510, edges)
+        prism = build_graph(
+            510,
+            [(i, (i + 1) % 255) for i in range(255)]
+            + [(255 + i, 255 + (i + 1) % 255) for i in range(255)]
+            + [(i, 255 + i) for i in range(255)],
+        )
+        assert set(necklace.degrees()) == set(prism.degrees()) == {3}
+        assert necklace.m == prism.m
+        assert diameter(necklace) > 255 >= diameter(prism)
+        assert type(graphmod.distance_matrix(necklace)[0]) is tuple
+        assert type(graphmod.distance_matrix(prism)[0]) is bytes
+        assert S.are_isomorphic(necklace, prism) is None
+        assert S.are_isomorphic(prism, necklace) is None
+        # the same pair as components, each beside one edge
+        with_edge = [build_graph(512, list(g.edges()) + [(510, 511)]) for g in (necklace, prism)]
+        assert S.are_isomorphic(*with_edge) is None
+
 
 class TestArcTransitivity:
     def test_c6(self, c6):
