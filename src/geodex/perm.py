@@ -345,14 +345,21 @@ class _Chain:
     def gens_from_level(self, k: int) -> list:
         return [g for lvl in self.levels[k:] for g in lvl.gens]
 
-    def add_generator(self, g) -> bool:
-        """Grow the chain by g; False (and no change) when g is already in it."""
+    def add_generator(self, g, target=None) -> bool:
+        """Grow the chain by g; False (and no change) when g is already in it.
+
+        ``target``, when given, is the order of the group the chain's
+        generators make, known in advance: the chain is complete once its
+        order reaches it (``_reestablish``)."""
         if g == self.identity or self.contains(g):
             return False
         self.walk.append(g)
         self._append(g, 0)
-        self._reestablish()
+        self._reestablish(target)
         return True
+
+    def _complete(self, target) -> bool:
+        return target is not None and self.order() == target
 
     def _append(self, g, k: int) -> None:
         if k == len(self.levels):
@@ -365,7 +372,7 @@ class _Chain:
             self._add_level(point)
         self.levels[k].gens.append(g)
 
-    def _reestablish(self) -> None:
+    def _reestablish(self, target=None) -> None:
         """Walk the levels deepest-first until every one is closed and sifted.
 
         Installing a residue at level k dirties levels <= k, so the walk jumps
@@ -374,20 +381,27 @@ class _Chain:
         either grows a basic orbit or adds a level with a new point (``_append``
         refuses anything else), so the walk ends after at most
         degree * (degree + 1) installs.
+
+        The walk also stops once the order reaches ``target``.  Each basic
+        orbit grown so far lies inside the true basic orbit of the group at
+        that level, so their product reaches the group's order only when every
+        one is whole; from then on no orbit grows and every Schreier generator
+        left sifts to the identity, so stopping leaves the chain as it is.
         """
         i = len(self.levels) - 1
-        while i >= 0:
-            installed_at = self._process_level(i)
+        while i >= 0 and not self._complete(target):
+            installed_at = self._process_level(i, target)
             if installed_at is None:
                 i -= 1
             else:
                 i = installed_at
 
-    def _process_level(self, i: int):
+    def _process_level(self, i: int, target=None):
         """Close the basic orbit at level i and sift its Schreier generators.
 
         Installs the first non-member residue at its sift level k > i and
-        returns k; returns None once the level is fully processed.
+        returns k; returns None once the level is fully processed, or once
+        the chain's order reaches ``target``.
         """
         lvl = self.levels[i]
         gens = self.gens_from_level(i)
@@ -410,6 +424,8 @@ class _Chain:
             if t_q_inv is None:
                 transversal[q] = t_ps
                 inverse[q] = table(_inverse(t_ps))
+                if self._complete(target):
+                    return None
                 pending.extend((q, g) for g in gens if (q, g) not in processed)
             else:
                 schreier = apply(t_ps, t_q_inv)
@@ -421,12 +437,17 @@ class _Chain:
         return None
 
 
-def _build_chain(degree: int, gens, base_hint=()) -> _Chain:
-    """The chain of the image sequences ``gens``, each converted by ``_raw``."""
+def _build_chain(degree: int, gens, base_hint=(), target=None) -> _Chain:
+    """The chain of the image sequences ``gens``, each converted by ``_raw``.
+
+    ``target`` is the order of the group ``gens`` make, when it is known
+    from a chain already checked; the build then stops as soon as the order
+    reaches it, with the chain it would have ended with.
+    """
     chain = _Chain(degree, base_hint)
     raw_gens = [_raw(g) for g in gens]
     for g in raw_gens:
-        chain.add_generator(g)
+        chain.add_generator(g, target)
     for g in raw_gens:
         assert chain.contains(g), "stabilizer chain failed to absorb a generator"
     return chain
@@ -621,8 +642,10 @@ def pointwise_stabilizer(group: PermGroup, points) -> PermGroup:
     key = ("stabilizer", pts)
     if key in group._cache:
         return group._cache[key]
-    # the other generators would be sifted into the chain and skipped
-    chain = _build_chain(group.degree, group.walk(), base_hint=pts)
+    # the other generators would be sifted into the chain and skipped;
+    # walk() has built and checked the group's own chain, so its order is
+    # known and the build may stop once it is reached
+    chain = _build_chain(group.degree, group.walk(), base_hint=pts, target=group.order())
     for j in range(1, len(pts) + 1):
         prefix = ("stabilizer", pts[:j])
         if prefix not in group._cache:

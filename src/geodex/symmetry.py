@@ -13,12 +13,17 @@ the whole individualized prefix from scratch, but the color ids differ, so
 a tie between largest cells may name another cell), and branches on the
 least vertex of a largest non-singleton cell.  It then settles
 the levels deepest first, as nauty does (McKay & Piperno, *Practical graph
-isomorphism II*, 2014): the generators of the deeper levels fix every earlier
-base point, so their orbits carry a refuted target's failure to the targets
-it reaches, and those searches are skipped.  It reads |Aut| off its own
-levels: each one ends with the full orbit of its branch vertex under the
-stabilizer of the points fixed before it, and the last level's partition is
-discrete, so |Aut| is the product of those orbit lengths.  The group it
+isomorphism II*, 2014), and uses every automorphism it has found.  One
+union-find holds the orbits of all generators found so far; the ones found
+below a level fix its prefix, so a target in the branch vertex's class, or
+in a refuted target's, is skipped without a search.  Above the deepest
+level, each search runs from its target back to the branch vertex, which
+the deeper generators fix, and inside it a failed candidate refutes its
+whole orbit under the known generators that fix the node's target path.
+It reads |Aut| off its own levels: each one ends with the full orbit of its
+branch vertex under the stabilizer of the points fixed before it, and the
+last level's partition is discrete, so |Aut| is the product of those orbit
+lengths.  The group it
 returns builds its stabilizer chain only on first use, from its generators as
 ``build_group`` would, and raises AssertionError if the chain's order differs
 from that product.
@@ -114,28 +119,41 @@ def _extension_order(adjacency, sources):
     most-constrained vertex (most mapped neighbors, lowest index on ties) and
     its first mapped neighbor.
 
-    A heap holds (-count, vertex) each time a count grows; counts only grow,
-    so an entry is current iff its vertex is unplaced and its count still
-    matches, and the least current entry is the argmax.
+    ``buckets[c]`` is a heap of the vertices pushed when their count reached
+    c; counts only grow, so an entry is current iff its vertex is unplaced
+    and its count is still c.  ``top`` is the largest count reached; it
+    steps down past emptied buckets, and the least current vertex of its
+    bucket is the argmax.
     """
     n = len(adjacency)
     placed = [False] * n
     nbr_count = [0] * n
-    heap: list[tuple[int, int]] = []
+    buckets: list[list[int]] = [[]]
+    top = 0
+    push, pop = heapq.heappush, heapq.heappop
 
     def place(u) -> None:
+        nonlocal top
         placed[u] = True
         for w in adjacency[u]:
             if not placed[w]:
-                nbr_count[w] += 1
-                heapq.heappush(heap, (-nbr_count[w], w))
+                c = nbr_count[w] = nbr_count[w] + 1
+                if c == len(buckets):
+                    buckets.append([])
+                push(buckets[c], w)
+                if c > top:
+                    top = c
 
     for q in sources:
         place(q)
     order = []
-    while heap:
-        count, u = heapq.heappop(heap)
-        if placed[u] or -count != nbr_count[u]:
+    while top:
+        bucket = buckets[top]
+        if not bucket:
+            top -= 1
+            continue
+        u = pop(bucket)
+        if placed[u] or nbr_count[u] != top:
             continue
         for anchor in adjacency[u]:
             if placed[anchor]:
@@ -184,7 +202,7 @@ def _extension_plan(g1, sources):
     return tuple(plan), tuple(sequence)
 
 
-def _search_map(g1, g2, colors1, colors2, seeds):
+def _search_map(g1, g2, colors1, colors2, seeds, known=()):
     """One color/distance-consistent isomorphism g1 -> g2 extending ``seeds``
     (pairs (source, target)), or None.  Both graphs must be connected and have
     the same number of vertices.
@@ -195,8 +213,22 @@ def _search_map(g1, g2, colors1, colors2, seeds):
     search shallow even on highly regular graphs.  That choice depends only on
     which sources are mapped, never on their targets, so the extension order
     is the same on every branch; it is memoized in ``g1._cache`` per set of
-    seed sources, so every candidate of an automorphism level and every root
-    target of an isomorphism test shares one order.
+    seed sources, so every candidate of a forward automorphism level and
+    every root target of an isomorphism test shares one order.  A search
+    given ``known`` automorphisms is one of an automorphism level's reversed
+    searches, whose seed sources no other search shares, so its order is
+    not kept.
+
+    ``known`` holds automorphisms of g2 (image sequences) that preserve
+    ``colors2``.  At a node whose candidate t fails, every candidate in t's
+    orbit under the known automorphisms fixing the node's whole target path
+    is skipped: such an a maps t to a neighbor of the anchor's image with t's
+    color and t's distances to the path, and a∘ψ extends the path with a(t)
+    exactly when ψ extends it with t, so a(t) fails too.  The fixing list is
+    filtered from the parent node's, and only at a node where a candidate
+    fails, so a search that never backtracks pays nothing for it.  Skipping
+    only drops candidates that would fail, so the map returned is the one
+    found without ``known``.
 
     The memo also holds each depth's vertex u with its distances to the
     vertices mapped before it, in mapping order.  The images of those
@@ -209,8 +241,8 @@ def _search_map(g1, g2, colors1, colors2, seeds):
 
     The search is complete: None means that no color-preserving isomorphism
     extends the seeds.  That is what lets ``automorphism_group`` take a
-    level's reached set as the full orbit, and so count |Aut| without a
-    stabilizer chain.
+    level's class of the branch vertex as the full orbit, and so count |Aut|
+    without a stabilizer chain.
     """
     n = g1.n
     adj1, adj2 = g1.adjacency, g2.adjacency
@@ -236,25 +268,35 @@ def _search_map(g1, g2, colors1, colors2, seeds):
     key = ("extension_plan", tuple(sorted(mapped)))
     memo = g1._cache.get(key)
     if memo is None:
-        memo = g1._cache[key] = _extension_plan(g1, key[1])
+        memo = _extension_plan(g1, key[1])
+        if not known:
+            g1._cache[key] = memo
     plan, sequence = memo
     targets, select, rows2 = _distance_probe(g2)
     targets.extend(map(mapping.__getitem__, key[1]))
 
-    def extend(depth) -> bool:
+    def extend(depth, fixing, start) -> bool:
+        # ``fixing``: the known automorphisms that fix targets[:start]
         if depth == len(plan):
             return True
         u, anchor, want = plan[depth]
         color = colors1[u]
+        refuted = ()
         for t in adj2[targets[anchor]]:
-            if colors2[t] == color and select(rows2[t]) == want:
+            if colors2[t] == color and t not in refuted and select(rows2[t]) == want:
                 targets.append(t)
-                if extend(depth + 1):
+                if extend(depth + 1, fixing, start):
                     return True
                 targets.pop()
+                if fixing and start < len(targets):
+                    path = targets[start:]
+                    fixing = [a for a in fixing if all(a[p] == p for p in path)]
+                    start = len(targets)
+                if fixing:
+                    refuted = permmod._orbit(fixing, (t,)).union(refuted)
         return False
 
-    if not extend(0):
+    if not extend(0, list(known), 0):
         return None
     for u, t in zip(sequence, targets):
         mapping[u] = t
@@ -322,20 +364,27 @@ def automorphism_group(graph: Graph) -> PermGroup:
     """Full automorphism group via individualization plus backtracking.
 
     The base comes first (``_base_levels``); then the levels are settled
-    deepest first, as nauty does.  At each level it finds one automorphism
-    per new orbit point of the branch vertex v, skipping targets already in
-    ``reached`` (v's orbit under this level's generators) and targets whose
-    orbit under the deeper levels' generators plus this level's meets a
-    refuted point.  The deeper generators fix this level's prefix, so that
-    orbit lies inside the target's orbit under the prefix stabilizer, and a
-    skipped target could only have been refuted too.  Every point of the
-    branch cell is thus reached, found, or refuted with its orbit, so
-    ``reached`` ends as the orbit of v under the automorphisms fixing the
-    prefix; once the refined partition is discrete only the identity is
-    left.  The group's order is the product of the levels' orbit lengths.
-    The skip never drops a search that succeeds, and ``reached`` does not
-    depend on the other levels, so each level finds the same generators as a
-    top-down pass; they are returned in top-down level order.
+    deepest first, as nauty does.  One union-find over the points holds the
+    orbits of every generator found in the call, the deeper levels' and this
+    level's; it only grows, so one partition serves the whole call.  At each
+    level it finds one automorphism per new orbit point of the branch vertex
+    v, skipping a target whose class holds v or a point refuted at this
+    level.  Every generator in the partition fixes this level's prefix, so
+    v's class lies inside v's orbit under the prefix stabilizer, and a
+    skipped target was reached already or could only have been refuted
+    too.  Every point of the branch cell is thus reached, found, or refuted
+    with its class, so v's class ends as the orbit of v under the
+    automorphisms fixing the prefix; once the refined partition is discrete
+    only the identity is left.  The group's order is the product of the
+    levels' orbit lengths.
+
+    A level with deeper generators searches from each target w back to v
+    and keeps the inverse of the map it finds: the deeper generators fix
+    the prefix and v, the root of that search's target path, and keep the
+    level colors, so ``_search_map`` prunes by them.  The deepest levels,
+    below the first generator found, have nothing to prune by and search
+    forward from v, so their searches share one extension plan.  The
+    generators are returned in top-down level order.
 
     The group's stabilizer chain is built on first use (``base()``,
     ``walk()``, ``in``, ``raw_elements()``, a stabilizer) by the call
@@ -347,32 +396,51 @@ def automorphism_group(graph: Graph) -> PermGroup:
     if graph.n == 0 or not graph.connected:
         raise Disconnected("automorphism search requires a connected graph")
 
+    # the orbits of every generator found so far: each point's class, and
+    # each class's points; a merge relabels the smaller class
+    class_of = list(range(graph.n))
+    members = [[p] for p in range(graph.n)]
+
     deeper: list[tuple[int, ...]] = []  # generators of the levels settled so far
     per_level: list[list[tuple[int, ...]]] = []
     order = 1
     for fixed, level_colors, branch, v in reversed(_base_levels(graph)):
         level_gens: list[tuple[int, ...]] = []
-        reached = {v}
-        failed: set[int] = set()
+        refuted: list[int] = []
         seeds_base = [(f, f) for f in fixed]
         for w in branch:
-            if w == v or w in reached:
+            c = class_of[w]
+            if c == class_of[v] or any(class_of[r] == c for r in refuted):
                 continue
-            orbit_w = permmod._orbit(deeper + level_gens, (w,))
-            if orbit_w & failed:
-                failed |= orbit_w
-                continue
-            found = _search_map(
-                graph, graph, level_colors, level_colors, seeds_base + [(v, w)]
-            )
-            if found is not None:
-                level_gens.append(found)
-                reached = permmod._orbit(level_gens, (v,))
+            if deeper:
+                # from w back to v, pruned by the deeper generators, which
+                # fix the prefix and v
+                found = _search_map(
+                    graph, graph, level_colors, level_colors, seeds_base + [(w, v)], deeper
+                )
+                if found is not None:
+                    found = permmod._tuple_inverse(found)
             else:
-                failed |= orbit_w
+                found = _search_map(
+                    graph, graph, level_colors, level_colors, seeds_base + [(v, w)]
+                )
+            if found is None:
+                refuted.append(w)
+                continue
+            level_gens.append(found)
+            for p, q in enumerate(found):
+                a, b = class_of[p], class_of[q]
+                if a != b:
+                    if len(members[a]) < len(members[b]):
+                        a, b = b, a
+                    for x in members[b]:
+                        class_of[x] = a
+                    members[a] += members[b]
+                    members[b] = []
+        # v's class, measured as its orbit under every generator found
+        order *= len(permmod._orbit(deeper + level_gens, (v,)))
         deeper += level_gens
         per_level.append(level_gens)
-        order *= len(reached)
     gens_raw = [g for level_gens in reversed(per_level) for g in level_gens]
     return PermGroup(graph.n, tuple(Permutation(g) for g in gens_raw), order)
 

@@ -319,6 +319,35 @@ class TestPointwiseStabilizer:
         assert petersen_aut.order() == 120
         assert stab.order() == 2
 
+    def test_chain_stopped_at_the_known_order_is_the_full_chain(self, ctx, monkeypatch):
+        # pointwise_stabilizer stops its build once the order reaches the
+        # group's; every level, transversal, inverse, strong generator and
+        # the walk must be those of the build run to the end, for fewer sifts
+        sifts = []
+        original = perm._Chain.sift
+
+        def counted(chain, g, start=0):
+            sifts.append(g)
+            return original(chain, g, start)
+
+        def build(group, points, target=None):
+            sifts.clear()
+            chain = perm._build_chain(group.degree, group.walk(), base_hint=points, target=target)
+            levels = [(lvl.point, lvl.transversal, lvl.inverse, lvl.gens) for lvl in chain.levels]
+            return (levels, chain.walk), len(sifts)
+
+        monkeypatch.setattr(perm._Chain, "sift", counted)
+        full_sifts = stopped_sifts = 0
+        for name, group in _catalog_groups(ctx):
+            n = group.degree
+            for points in ((0,), (n - 1, 0), (n // 2, 1, n - 2)):
+                full, count = build(group, points)
+                full_sifts += count
+                stopped, count = build(group, points, group.order())
+                stopped_sifts += count
+                assert stopped == full, (name, points)
+        assert stopped_sifts < full_sifts
+
 
 class TestNormalStructure:
     def test_s3_normal_subgroups(self):
@@ -529,17 +558,17 @@ class TestWalkList:
             self._check(closure)
 
     def test_catalog_walk_lengths(self, ctx):
-        # generators -> walk: Foster 6 -> 2, Biggs-Smith 5 -> 3,
-        # Tutte-Coxeter 7 -> 2, hexagon-q2 7 -> 2
+        # generators -> walk: Foster 4 -> 2, Biggs-Smith 3 -> 3,
+        # Tutte-Coxeter 4 -> 3, hexagon-q2 4 -> 2
         lengths = {
             name: (len(ctx.aut(name).generators), len(ctx.aut(name).walk()))
             for name in ("foster", "biggs-smith", "tutte-coxeter", "hexagon-q2")
         }
         assert lengths == {
-            "foster": (6, 2),
-            "biggs-smith": (5, 3),
-            "tutte-coxeter": (7, 2),
-            "hexagon-q2": (7, 2),
+            "foster": (4, 2),
+            "biggs-smith": (3, 3),
+            "tutte-coxeter": (4, 3),
+            "hexagon-q2": (4, 2),
         }
         self._check(ctx.aut("biggs-smith"))
 
@@ -566,11 +595,18 @@ class TestNormalStructureReference:
             assert _library_normal_structure(fresh) == want, name
 
     def test_renaming_keeps_the_first_class_in_listing_order(self, ctx):
-        # on Heawood's first bipart, PSL(2,7)'s first nontrivial class
-        # representative has composite order, so its closure is recomputed
-        group = dict(_catalog_groups(ctx))["heawood bipart 0"]
-        reps = perm.conjugacy_class_representatives(group)
-        assert not perm._is_prime(next(r for r in reps if not r.is_identity()).order())
+        # a catalog group whose first nontrivial class representative has
+        # composite order, so its closure is recomputed; which group that is
+        # follows the generators the search finds
+        def first_rep_order(group):
+            reps = perm.conjugacy_class_representatives(group)
+            return next(r for r in reps if not r.is_identity()).order()
+
+        group = next(
+            group
+            for _, group in _catalog_groups(ctx)
+            if group.order() > 1 and not perm._is_prime(first_rep_order(group))
+        )
         assert _library_normal_structure(group) == _reference_normal_structure(group)
 
     def test_foster_work(self, foster_aut, chain_builds, monkeypatch):

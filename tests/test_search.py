@@ -154,15 +154,33 @@ def order_builds(monkeypatch):
     return builds
 
 
-def test_one_extension_order_per_level(order_builds, searches):
-    foster = atlas_get("foster").graph  # a fresh graph with an empty cache
-    assert S.automorphism_group(foster).order() == 4320
-    # level i maps its i fixed points and one branch vertex, and builds once;
-    # the levels are settled deepest first
-    assert [len(b) for b in order_builds] == list(range(len(order_builds), 0, -1))
-    assert all(set(a) > set(b) for a, b in zip(order_builds, order_builds[1:]))
-    sources = {tuple(u for u, _ in seeds) for seeds in searches}
-    assert len(sources) == len(order_builds) < len(searches)
+def test_one_extension_order_per_level(order_builds, monkeypatch):
+    calls = []
+    original = S._search_map
+
+    def counted(g1, g2, colors1, colors2, seeds, known=()):
+        calls.append((tuple(sorted(u for u, _ in seeds)), bool(known)))
+        return original(g1, g2, colors1, colors2, seeds, known)
+
+    monkeypatch.setattr(S, "_search_map", counted)
+    for name, order in (("foster", 4320), ("hexagon-q2", 12096)):
+        graph = atlas_get(name).graph  # a fresh graph with an empty cache
+        calls.clear()
+        order_builds.clear()
+        assert S.automorphism_group(graph).order() == order
+        # the levels are settled deepest first; those below the first
+        # generator found search forward from the branch vertex and share one
+        # plan per level, memoized; every later search runs from its target
+        # back to the branch vertex, with a plan of its own, not memoized
+        forward = [sources for sources, known in calls if not known]
+        backward = [sources for sources, known in calls if known]
+        assert calls == [(c, False) for c in forward] + [(c, True) for c in backward]
+        assert forward and backward
+        forward_plans = list(dict.fromkeys(forward))
+        assert [tuple(sorted(b)) for b in order_builds] == forward_plans + backward
+        memo = {key[1] for key in graph._cache if isinstance(key, tuple) and key[0] == "extension_plan"}
+        assert memo == set(forward_plans)
+    assert len(forward) > len(forward_plans)  # hexagon-q2's deepest level searches twice
 
 
 @pytest.fixture
@@ -171,9 +189,9 @@ def searches(monkeypatch):
     calls = []
     original = S._search_map
 
-    def counted(g1, g2, colors1, colors2, seeds):
+    def counted(g1, g2, colors1, colors2, seeds, known=()):
         calls.append(seeds)
-        return original(g1, g2, colors1, colors2, seeds)
+        return original(g1, g2, colors1, colors2, seeds, known)
 
     monkeypatch.setattr(S, "_search_map", counted)
     return calls
@@ -552,7 +570,8 @@ def test_level_partitions_match_refinement_from_scratch_on_relabelings(name):
 
 
 # ---------------------------------------------------------------------------
-# levels settled deepest first, against the top-down pass
+# levels settled deepest first, against the top-down pass, and searches
+# pruned by known automorphisms, against the same searches unpruned
 # ---------------------------------------------------------------------------
 
 def _reference_automorphism_group(graph):
@@ -588,15 +607,36 @@ def _reference_automorphism_group(graph):
     return gens_raw, order
 
 
+def _unpruned_automorphism_group(graph):
+    """``automorphism_group`` with every search run without the known
+    automorphisms: the same settling, with no pruning inside a search."""
+    original = S._search_map
+
+    def unpruned(g1, g2, colors1, colors2, seeds, known=()):
+        return original(g1, g2, colors1, colors2, seeds)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(S, "_search_map", unpruned)
+        return S.automorphism_group(graph)
+
+
 def _assert_same_group_as_reference(graph):
+    # the top-down pass cannot use the deeper levels' generators, so it finds
+    # other ones: the groups must be equal
     want_gens, want_order = _reference_automorphism_group(graph)
     group = S.automorphism_group(graph)
-    assert [g.images for g in group.generators] == want_gens
     assert group.order() == want_order
     reference = build_group([Permutation(g) for g in want_gens], degree=graph.n)
-    assert group.base() == reference.base()
-    assert group.basic_orbit_sizes() == reference.basic_orbit_sizes()
-    assert group.walk() == reference.walk()
+    assert reference.order() == want_order
+    assert all(g in reference for g in group.generators)
+    assert all(Permutation(g) in group for g in want_gens)
+    # pruning inside a search never changes the map it returns
+    unpruned = _unpruned_automorphism_group(graph)
+    assert group.generators == unpruned.generators
+    assert group.order() == unpruned.order()
+    assert group.base() == unpruned.base()
+    assert group.basic_orbit_sizes() == unpruned.basic_orbit_sizes()
+    assert group.walk() == unpruned.walk()
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -637,8 +677,8 @@ def test_deeper_generators_skip_failing_searches(monkeypatch):
     original = S._search_map
     failures = []
 
-    def counted(g1, g2, colors1, colors2, seeds):
-        found = original(g1, g2, colors1, colors2, seeds)
+    def counted(g1, g2, colors1, colors2, seeds, known=()):
+        found = original(g1, g2, colors1, colors2, seeds, known)
         failures.append(found is None)
         return found
 
@@ -660,14 +700,78 @@ def test_largest_cell_branching_has_no_failing_search(monkeypatch, name, order):
     original = S._search_map
     failures = []
 
-    def counted(g1, g2, colors1, colors2, seeds):
-        found = original(g1, g2, colors1, colors2, seeds)
+    def counted(g1, g2, colors1, colors2, seeds, known=()):
+        found = original(g1, g2, colors1, colors2, seeds, known)
         failures.append(found is None)
         return found
 
     monkeypatch.setattr(S, "_search_map", counted)
     assert S.automorphism_group(graph).order() == order
     assert sum(failures) == 0
+
+
+def _level_searches(graph):
+    """(colors, seeds, known) of every level's search from each target of its
+    branch cell back to the branch vertex, as ``automorphism_group`` seeds
+    them, with ``known`` every generator of the graph's group that fixes the
+    level's prefix and branch vertex (the deeper levels' among them)."""
+    gens = [g.images for g in S.automorphism_group(graph).generators]
+    for fixed, colors, branch, v in S._base_levels(graph):
+        known = [g for g in gens if all(g[p] == p for p in fixed + (v,))]
+        for w in branch:
+            yield colors, [(f, f) for f in fixed] + [(w, v)], known
+
+
+def _assert_pruned_searches_match_unpruned(graph, searches=None):
+    for colors, seeds, known in searches or _level_searches(graph):
+        want = S._search_map(graph, graph, colors, colors, seeds)
+        assert S._search_map(graph, graph, colors, colors, seeds, known) == want
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(connected_graphs(max_n=12))
+def test_pruned_search_matches_unpruned(graph):
+    _assert_pruned_searches_match_unpruned(graph)
+
+
+@pytest.mark.parametrize("name", atlas_list())
+def test_pruned_search_matches_unpruned_on_catalog(name):
+    _assert_pruned_searches_match_unpruned(_relabeled(atlas_get(name).graph, name))
+
+
+def test_pruned_search_matches_unpruned_on_w3_point_to_line_targets(monkeypatch):
+    # W(3)'s first branch cell holds its 40 points and 40 lines; no
+    # automorphism maps a line to a point, and each such search exhausts its
+    # tree unless the automorphisms fixing the branch vertex prune it
+    w3 = _relabeled(symplectic_quadrangle(3), 3)
+    fixed, colors, branch, v = S._base_levels(w3)[0]
+    side = next(part for part in graphmod.bipartition(w3) if v not in part)
+    assert set(side) <= set(branch)
+    searches = [s for s in _level_searches(w3) if s[1][-1][0] in side and s[1][-1][1] == v]
+    assert len(searches) == 40 and all(s[2] for s in searches)
+
+    checks = []
+    original = S._distance_probe
+
+    def counted(graph):
+        targets, select, rows = original(graph)
+
+        def counted_select(row):
+            checks.append(None)
+            return select(row)
+
+        return targets, counted_select, rows
+
+    monkeypatch.setattr(S, "_distance_probe", counted)
+    pruned = unpruned = 0
+    for colors, seeds, known in searches:
+        checks.clear()
+        assert S._search_map(w3, w3, colors, colors, seeds) is None
+        unpruned += len(checks)
+        checks.clear()
+        assert S._search_map(w3, w3, colors, colors, seeds, known) is None
+        pruned += len(checks)
+    assert pruned * 5 < unpruned
 
 
 # ---------------------------------------------------------------------------
