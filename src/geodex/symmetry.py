@@ -14,7 +14,7 @@ a tie between largest cells may name another cell), and branches on the
 least vertex of a largest non-singleton cell.  It then settles
 the levels deepest first, as nauty does (McKay & Piperno, *Practical graph
 isomorphism II*, 2014), and uses every automorphism it has found.  One
-union-find holds the orbits of all generators found so far; the ones found
+orbit partition holds the orbits of all generators found so far; the ones found
 below a level fix its prefix, so a target in the branch vertex's class, or
 in a refuted target's, is skipped without a search.  Above the deepest
 level, each search runs from its target back to the branch vertex, which
@@ -364,7 +364,7 @@ def automorphism_group(graph: Graph) -> PermGroup:
     """Full automorphism group via individualization plus backtracking.
 
     The base comes first (``_base_levels``); then the levels are settled
-    deepest first, as nauty does.  One union-find over the points holds the
+    deepest first, as nauty does.  One partition of the points holds the
     orbits of every generator found in the call, the deeper levels' and this
     level's; it only grows, so one partition serves the whole call.  At each
     level it finds one automorphism per new orbit point of the branch vertex

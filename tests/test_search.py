@@ -1,6 +1,7 @@
 """The automorphism/isomorphism backtrack against a reference copy of its
 earlier form, and against networkx; the deepest-first level order against
-the top-down pass; the order it counts against a stabilizer chain; and its
+the top-down pass; searches pruned by known automorphisms against the same
+searches unpruned; the order it counts against a stabilizer chain; and its
 per-level set-up (extension order, refinement, distances) against reference
 copies and the Floyd-Warshall oracle."""
 
