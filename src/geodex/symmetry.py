@@ -366,10 +366,10 @@ def automorphism_group(graph: Graph) -> PermGroup:
     The base comes first (``_base_levels``); then the levels are settled
     deepest first, as nauty does.  One partition of the points holds the
     orbits of every generator found in the call, the deeper levels' and this
-    level's; it only grows, so one partition serves the whole call.  At each
-    level it finds one automorphism per new orbit point of the branch vertex
-    v, skipping a target whose class holds v or a point refuted at this
-    level.  Every generator in the partition fixes this level's prefix, so
+    level's; its classes only merge, so one partition serves the whole
+    call.  At each level it finds one automorphism per new orbit point of
+    the branch vertex v, skipping a target whose class holds v or a point
+    refuted at this level.  Every generator in the partition fixes this level's prefix, so
     v's class lies inside v's orbit under the prefix stabilizer, and a
     skipped target was reached already or could only have been refuted
     too.  Every point of the branch cell is thus reached, found, or refuted
