@@ -594,14 +594,21 @@ def build_group(generators, *, degree: int | None = None) -> PermGroup:
 
 
 def group_from_json(data: dict) -> PermGroup:
-    """Inverse of PermGroup.to_json; generator entries may be cycle strings."""
+    """Inverse of PermGroup.to_json; generator entries may be cycle strings.
+    JSON's true and false are no degrees or points, though Python reads them
+    as 1 and 0, so a boolean degree or image raises TypeError."""
     degree = data["degree"]
+    if type(degree) is bool:
+        raise TypeError("a group's degree must be an integer, not a boolean")
     gens = []
     for entry in data.get("generators", []):
         if isinstance(entry, str):
             gens.append(parse_cycle_string(entry, degree))
-        else:
-            gens.append(Permutation(tuple(entry)))
+            continue
+        images = tuple(entry)
+        if any(type(x) is bool for x in images):
+            raise TypeError("permutation images must be integers, not booleans")
+        gens.append(Permutation(images))
     return build_group(gens, degree=degree)
 
 

@@ -3,11 +3,12 @@ deciders for finite graphs with explicit permutation groups.
 
 The automorphism engine is a backtracking search over partial vertex maps,
 pruned by equitable-partition colors and full distance consistency against
-every mapped vertex.  Up to 256 vertices the distance rows are bytes, and a
-candidate's check is one ``bytes.translate`` of the mapped vertices' images
-through its row, compared with the bytes of the source vertex's distances to
-them, which are memoized with the extension order.  It fixes its base by
-refinement alone: each level refines its parent's colors, seeded with the
+every mapped vertex.  Each search follows a plan its caller builds once per
+set of mapped sources: the order in which the vertices are mapped, each
+one's anchor, color and distances to the vertices mapped before it.  Up to
+256 vertices the distance rows are bytes, and a candidate's check is one
+``bytes.translate`` of the mapped vertices' images through its row, compared
+with the plan's bytes.  It fixes its base by refinement alone: each level refines its parent's colors, seeded with the
 parent's branch vertex's distances (the partitions are those of refining
 the whole individualized prefix from scratch, but the color ids differ, so
 a tie between largest cells may name another cell), and branches on the
@@ -73,8 +74,8 @@ def _refine(adjacency, colors, trace=None):
     """Equitable refinement with canonical (label-independent) color ids.
 
     From one cell (``[0] * n``) the first pass splits the vertices by degree.
-    Starting colors may be any sortable values, such as (color, distance)
-    pairs.
+    Starting colors may be any sortable values, such as the integers of
+    ``_individualize``.
 
     With a ``trace`` list, every round leaves a label-independent record:
     round 0 is the sorted starting colors, and each later round its sorted
@@ -110,58 +111,28 @@ def _traced(trace, i, record) -> bool:
     return True
 
 
+def _cells(colors) -> dict[int, list[int]]:
+    """The vertices of each color, in ascending order."""
+    cells: dict[int, list[int]] = {}
+    for u, c in enumerate(colors):
+        cells.setdefault(c, []).append(u)
+    return cells
+
+
+def _individualize(adjacency, colors, row, span, trace=None):
+    """``colors`` refined with the vertex whose distance row is ``row``
+    individualized (McKay, 1981): vertex u starts at ``c * span + row[u]``
+    for its color c, where ``span`` exceeds every distance, an integer that
+    sorts as the pair (c, d) does, so color ids stay label-independent.
+    Individualizing a vertex forces the distance partition from it, so
+    seeding with its distances reaches the same stable partition in fewer
+    rounds.  With a ``trace``, as ``_refine``."""
+    return _refine(adjacency, [c * span + d for c, d in zip(colors, row)], trace)
+
+
 # ---------------------------------------------------------------------------
 # the backtracking search
 # ---------------------------------------------------------------------------
-
-def _extension_order(adjacency, sources):
-    """(vertex, anchor) per search depth once ``sources`` are mapped: a
-    most-constrained vertex (most mapped neighbors, lowest index on ties) and
-    its first mapped neighbor.
-
-    ``buckets[c]`` is a heap of the vertices pushed when their count reached
-    c; counts only grow, so an entry is current iff its vertex is unplaced
-    and its count is still c.  ``top`` is the largest count reached; it
-    steps down past emptied buckets, and the least current vertex of its
-    bucket is the argmax.
-    """
-    n = len(adjacency)
-    placed = [False] * n
-    nbr_count = [0] * n
-    buckets: list[list[int]] = [[]]
-    top = 0
-    push, pop = heapq.heappush, heapq.heappop
-
-    def place(u) -> None:
-        nonlocal top
-        placed[u] = True
-        for w in adjacency[u]:
-            if not placed[w]:
-                c = nbr_count[w] = nbr_count[w] + 1
-                if c == len(buckets):
-                    buckets.append([])
-                push(buckets[c], w)
-                if c > top:
-                    top = c
-
-    for q in sources:
-        place(q)
-    order = []
-    while top:
-        bucket = buckets[top]
-        if not bucket:
-            top -= 1
-            continue
-        u = pop(bucket)
-        if placed[u] or nbr_count[u] != top:
-            continue
-        for anchor in adjacency[u]:
-            if placed[anchor]:
-                break
-        order.append((u, anchor))
-        place(u)
-    return tuple(order)
-
 
 def _distance_probe(graph: Graph):
     """(targets, select, rows) over ``graph``'s distance table: ``targets``
@@ -173,12 +144,17 @@ def _distance_probe(graph: Graph):
     and ``select`` is one ``bytes.translate`` of the bytearray of targets
     through it.  Above, ``rows`` is the table and ``select`` one
     ``itemgetter`` over the targets, which gives a bare int for a single
-    target; both sides of a comparison come from ``select`` over equally
-    many targets, so they agree in type.
+    target and needs at least one (``()`` stands for none); both sides of a
+    comparison come from ``select`` over equally many targets, so they agree
+    in type.
     """
     if graph.n > permmod._BYTES_DEGREE:
         targets = []
-        return targets, lambda row: itemgetter(*targets)(row), graphmod.distance_matrix(graph)
+
+        def select(row):
+            return itemgetter(*targets)(row) if targets else ()
+
+        return targets, select, graphmod.distance_matrix(graph)
     rows = graph._cache.get("probe_rows")
     if rows is None:
         pad = bytes(permmod._BYTES_DEGREE - graph.n)
@@ -187,37 +163,82 @@ def _distance_probe(graph: Graph):
     return targets, targets.translate, rows
 
 
-def _extension_plan(g1, sources):
-    """(plan, sequence) once ``sources`` (sorted) are mapped.  The plan holds
-    (vertex u, position of its anchor in the sequence, u's distances to the
-    vertices before it in the sequence) per search depth, in the order of
-    ``_extension_order``; the sequence is ``sources`` followed by the
-    plan's vertices."""
-    sequence, select, rows = _distance_probe(g1)
-    sequence.extend(sources)
-    plan = []
-    for u, anchor in _extension_order(g1.adjacency, sources):
-        plan.append((u, sequence.index(anchor), select(rows[u])))
+def _extension_plan(graph: Graph, colors, sources):
+    """(sequence, steps) of every search that maps ``sources`` first.
+
+    The sequence is ``sources``, then one vertex per search depth: a
+    most-constrained vertex (most mapped neighbors, lowest index on ties),
+    so refutations close cycles as early as possible, which keeps the search
+    shallow even on highly regular graphs.  The choice depends only on which
+    sources are mapped, never on their targets, so one plan serves every
+    search that maps the same sources.
+
+    Each vertex u of the sequence has one step (u, anchor, color, want):
+    ``anchor`` is the position in the sequence of u's first mapped
+    neighbor (None for a source), ``color`` is ``colors[u]`` and ``want``
+    u's distances to the vertices before it in the sequence, as
+    ``_distance_probe`` selects them.
+
+    ``buckets[c]`` is a heap of the vertices pushed when their count reached
+    c; counts only grow, so an entry is current iff its vertex is unplaced
+    and its count is still c.  ``top`` is the largest count reached; it
+    steps down past emptied buckets, and the least current vertex of its
+    bucket is the argmax.
+    """
+    adjacency = graph.adjacency
+    position = [-1] * graph.n
+    nbr_count = [0] * graph.n
+    buckets: list[list[int]] = [[]]
+    top = 0
+    push, pop = heapq.heappush, heapq.heappop
+    sequence, select, rows = _distance_probe(graph)
+    steps = []
+
+    def place(u, anchor) -> None:
+        nonlocal top
+        steps.append((u, anchor, colors[u], select(rows[u])))
+        position[u] = len(sequence)
         sequence.append(u)
-    return tuple(plan), tuple(sequence)
+        for w in adjacency[u]:
+            if position[w] < 0:
+                c = nbr_count[w] = nbr_count[w] + 1
+                if c == len(buckets):
+                    buckets.append([])
+                push(buckets[c], w)
+                if c > top:
+                    top = c
+
+    for q in sources:
+        place(q, None)
+    while top:
+        bucket = buckets[top]
+        if not bucket:
+            top -= 1
+            continue
+        u = pop(bucket)
+        if position[u] >= 0 or nbr_count[u] != top:
+            continue
+        for anchor in adjacency[u]:
+            if position[anchor] >= 0:
+                break
+        place(u, position[anchor])
+    return tuple(sequence), tuple(steps)
 
 
-def _search_map(g1, g2, colors1, colors2, seeds, known=()):
-    """One color/distance-consistent isomorphism g1 -> g2 extending ``seeds``
-    (pairs (source, target)), or None.  Both graphs must be connected and have
-    the same number of vertices.
+def _search_map(g1, g2, plan, colors2, images, known=()):
+    """One color/distance-consistent isomorphism g1 -> g2 that maps the
+    sources of ``plan`` (``_extension_plan`` of g1) to ``images``, or None.
+    Both graphs must be connected and have the same number of vertices.
 
-    Backtracking always extends a most-constrained vertex (most mapped
-    neighbors, lowest index on ties) from the image of its first mapped
-    neighbor: refutations close cycles as early as possible, which keeps the
-    search shallow even on highly regular graphs.  That choice depends only on
-    which sources are mapped, never on their targets, so the extension order
-    is the same on every branch; it is memoized in ``g1._cache`` per set of
-    seed sources, so every candidate of a forward automorphism level and
-    every root target of an isomorphism test shares one order.  A search
-    given ``known`` automorphisms is one of an automorphism level's reversed
-    searches, whose seed sources no other search shares, so its order is
-    not kept.
+    Backtracking maps the plan's vertices in order, each to a neighbor of
+    its anchor's image.  The images are kept in the sequence's order, so a
+    target t is consistent with a step (u, anchor, color, want) iff t has
+    ``color`` in ``colors2`` and t's distances to the images equal ``want``:
+    one ``bytes.translate`` of the images through t's row up to 256
+    vertices (``_distance_probe``).  A target already used is at distance 0
+    from itself, where u is at distance at least 1 from every other vertex,
+    so the same check refuses it.  Each source's image passes the same
+    check before the search starts.
 
     ``known`` holds automorphisms of g2 (image sequences) that preserve
     ``colors2``.  At a node whose candidate t fails, every candidate in t's
@@ -230,57 +251,24 @@ def _search_map(g1, g2, colors1, colors2, seeds, known=()):
     only drops candidates that would fail, so the map returned is the one
     found without ``known``.
 
-    The memo also holds each depth's vertex u with its distances to the
-    vertices mapped before it, in mapping order.  The images of those
-    vertices are kept in the same order, so a target t of the right color is
-    distance-consistent iff t's distances to the images equal u's: one
-    ``bytes.translate`` of the images through t's row up to 256 vertices,
-    one ``itemgetter`` above (``_distance_probe``).  A target already used
-    is at distance 0 from itself, where u is at distance at least 1 from
-    every other vertex, so the same check refuses it.
-
     The search is complete: None means that no color-preserving isomorphism
-    extends the seeds.  That is what lets ``automorphism_group`` take a
-    level's class of the branch vertex as the full orbit, and so count |Aut|
-    without a stabilizer chain.
+    extends the sources' map.  That is what lets ``automorphism_group`` take
+    a level's class of the branch vertex as the full orbit, and so count
+    |Aut| without a stabilizer chain.
     """
-    n = g1.n
-    adj1, adj2 = g1.adjacency, g2.adjacency
-    dist1, dist2 = graphmod.distance_matrix(g1), graphmod.distance_matrix(g2)
-
-    mapping = [-1] * n
-    mapped: list[int] = []
-    for u, t in seeds:
-        if mapping[u] != -1:
-            if mapping[u] != t:
-                return None
-            continue
-        if colors1[u] != colors2[t]:
-            return None
-        d1u = dist1[u]
-        d2t = dist2[t]
-        for q in mapped:
-            if d1u[q] != d2t[mapping[q]]:
-                return None
-        mapping[u] = t
-        mapped.append(u)
-
-    key = ("extension_plan", tuple(sorted(mapped)))
-    memo = g1._cache.get(key)
-    if memo is None:
-        memo = _extension_plan(g1, key[1])
-        if not known:
-            g1._cache[key] = memo
-    plan, sequence = memo
+    sequence, steps = plan
+    adj2 = g2.adjacency
     targets, select, rows2 = _distance_probe(g2)
-    targets.extend(map(mapping.__getitem__, key[1]))
+    for (_, _, color, want), t in zip(steps, images):
+        if colors2[t] != color or select(rows2[t]) != want:
+            return None
+        targets.append(t)
 
     def extend(depth, fixing, start) -> bool:
         # ``fixing``: the known automorphisms that fix targets[:start]
-        if depth == len(plan):
+        if depth == len(steps):
             return True
-        u, anchor, want = plan[depth]
-        color = colors1[u]
+        _, anchor, color, want = steps[depth]
         refuted = ()
         for t in adj2[targets[anchor]]:
             if colors2[t] == color and t not in refuted and select(rows2[t]) == want:
@@ -296,14 +284,15 @@ def _search_map(g1, g2, colors1, colors2, seeds, known=()):
                     refuted = permmod._orbit(fixing, (t,)).union(refuted)
         return False
 
-    if not extend(0, list(known), 0):
+    if not extend(len(targets), list(known), 0):
         return None
+    mapping = [-1] * g1.n
     for u, t in zip(sequence, targets):
         mapping[u] = t
     result = tuple(mapping)
     adjsets2 = g2.neighbor_sets()
-    for u in range(n):
-        for w in adj1[u]:
+    for u in range(g1.n):
+        for w in g1.adjacency[u]:
             if result[w] not in adjsets2[result[u]]:
                 raise AssertionError("search produced a non-isomorphism")
     return result
@@ -318,13 +307,11 @@ def _base_levels(graph: Graph):
     """(fixed prefix, refined colors, sorted branch cell, branch vertex) per
     level, top-down, until the refined partition is discrete.
 
-    The first level refines from one cell.  Each later level refines from
-    its parent's stable colors, seeded with the parent's branch vertex v's
-    distances (McKay, 1981): vertex u starts at ``c * (D + 1) + d(v, u)``
-    for its parent color c and the diameter D, an integer that sorts as the
-    pair (c, d) does, so color ids stay label-independent.  The partition is
-    the one that individualizing the whole prefix and refining from the
-    degree-level colors would give: an equitable partition with v as a
+    The first level refines from one cell.  Each later level individualizes
+    its parent's branch vertex v in its parent's stable colors
+    (``_individualize``, with the diameter plus one as the span).  The
+    partition is the one that individualizing the whole prefix and refining
+    from the degree-level colors would give: an equitable partition with v as a
     singleton already splits by distance from v, so both are the coarsest
     equitable partition below the degree-level colors with the prefix
     individualized.  Only the color ids differ, and with them which of two
@@ -343,21 +330,18 @@ def _base_levels(graph: Graph):
     span = graphmod.diameter(graph) + 1
     level_colors = _refine(graph.adjacency, [0] * graph.n)
     levels = []
-    fixed: list[int] = []
+    fixed: tuple[int, ...] = ()
     while True:
-        cells: dict[int, list[int]] = {}
-        for u, c in enumerate(level_colors):
-            cells.setdefault(c, []).append(u)
-        candidates = [(-len(cell), c, cell) for c, cell in cells.items() if len(cell) > 1]
+        candidates = [
+            (-len(cell), c, cell) for c, cell in _cells(level_colors).items() if len(cell) > 1
+        ]
         if not candidates:
             return levels
         _, _, branch = min(candidates, key=lambda item: item[:2])
         v = branch[0]  # cells list their vertices in ascending order
-        levels.append((tuple(fixed), level_colors, branch, v))
-        fixed.append(v)
-        level_colors = _refine(
-            graph.adjacency, [c * span + d for c, d in zip(level_colors, dist[v])]
-        )
+        levels.append((fixed, level_colors, branch, v))
+        fixed += (v,)
+        level_colors = _individualize(graph.adjacency, level_colors, dist[v], span)
 
 
 def automorphism_group(graph: Graph) -> PermGroup:
@@ -381,10 +365,12 @@ def automorphism_group(graph: Graph) -> PermGroup:
     A level with deeper generators searches from each target w back to v
     and keeps the inverse of the map it finds: the deeper generators fix
     the prefix and v, the root of that search's target path, and keep the
-    level colors, so ``_search_map`` prunes by them.  The deepest levels,
-    below the first generator found, have nothing to prune by and search
-    forward from v, so their searches share one extension plan.  The
-    generators are returned in top-down level order.
+    level colors, so ``_search_map`` prunes by them; each such search maps
+    its own sources, so it builds its own plan.  The deepest levels, below
+    the first generator found, have nothing to prune by and search forward
+    from v: their searches map the same sources, so each level builds one
+    plan, at its first search.  The generators are returned in top-down
+    level order.
 
     The group's stabilizer chain is built on first use (``base()``,
     ``walk()``, ``in``, ``raw_elements()``, a stabilizer) by the call
@@ -407,7 +393,7 @@ def automorphism_group(graph: Graph) -> PermGroup:
     for fixed, level_colors, branch, v in reversed(_base_levels(graph)):
         level_gens: list[tuple[int, ...]] = []
         refuted: list[int] = []
-        seeds_base = [(f, f) for f in fixed]
+        forward = None  # the plan of the searches from v, built at the first
         for w in branch:
             c = class_of[w]
             if c == class_of[v] or any(class_of[r] == c for r in refuted):
@@ -415,15 +401,14 @@ def automorphism_group(graph: Graph) -> PermGroup:
             if deeper:
                 # from w back to v, pruned by the deeper generators, which
                 # fix the prefix and v
-                found = _search_map(
-                    graph, graph, level_colors, level_colors, seeds_base + [(w, v)], deeper
-                )
+                plan = _extension_plan(graph, level_colors, fixed + (w,))
+                found = _search_map(graph, graph, plan, level_colors, fixed + (v,), deeper)
                 if found is not None:
                     found = permmod._tuple_inverse(found)
             else:
-                found = _search_map(
-                    graph, graph, level_colors, level_colors, seeds_base + [(v, w)]
-                )
+                if forward is None:
+                    forward = _extension_plan(graph, level_colors, fixed + (v,))
+                found = _search_map(graph, graph, forward, level_colors, fixed + (w,))
             if found is None:
                 refuted.append(w)
                 continue
@@ -450,12 +435,14 @@ def are_isomorphic(g1: Graph, g2: Graph):
 
     Connected graphs whose diameters or multisets of per-row distance
     counts differ are not isomorphic, and are rejected before any root target is refined.
-    Otherwise a root of g1 in a smallest degree-level cell is refined once
-    from its distances, and its trace recorded; each target t of g2 in that
-    cell is refined from its own distances against the trace and skipped at
-    the first round that differs, since no isomorphism maps the root to it.
-    Refined colors only rule out maps that are no isomorphism, so the search
-    returns the same first map it would find from the degree-level colors.
+    Otherwise a root of g1 in a smallest degree-level cell is
+    individualized once (``_individualize``), and its trace recorded; each
+    target t of g2 in that cell is individualized against the trace and
+    skipped at the first round that differs, since no isomorphism maps the
+    root to it.  Every surviving target is searched with one plan, built at
+    the first.  Refined colors only rule out maps that are no isomorphism,
+    so the search returns the same first map it would find from the
+    degree-level colors.
 
     Works for disconnected inputs by matching components.  Raises
     GraphTooLarge when either graph has more than AUTOMORPHISM_VERTEX_CAP
@@ -481,30 +468,29 @@ def are_isomorphic(g1: Graph, g2: Graph):
     colors2 = _refine(g2.adjacency, [0] * g2.n)
     if sorted(colors1) != sorted(colors2):
         return None
-    cell_of: dict[int, list[int]] = {}
-    for t, c in enumerate(colors2):
-        cell_of.setdefault(c, []).append(t)
+    cell_of = _cells(colors2)
     # branch on a smallest cell for the fewest root candidates
     root = min(range(g1.n), key=lambda u: (len(cell_of.get(colors1[u], ())), colors1[u], u))
-    # individualizing a vertex forces the distance partition from it, so
-    # seeding with distances reaches the same stable partition in fewer rounds
     dist1, dist2 = graphmod.distance_matrix(g1), graphmod.distance_matrix(g2)
     # equal diameters give both tables the same row type; then the multiset
     # of per-row distance counts is an isomorphism invariant
     if graphmod.diameter(g1) != graphmod.diameter(g2):
         return None
-    span = range(graphmod.diameter(g1) + 1)
-    if sorted(list(map(row.count, span)) for row in dist1) != sorted(
-        list(map(row.count, span)) for row in dist2
+    span = graphmod.diameter(g1) + 1
+    if sorted(list(map(row.count, range(span))) for row in dist1) != sorted(
+        list(map(row.count, range(span))) for row in dist2
     ):
         return None
     trace: list = []
-    root_colors = _refine(g1.adjacency, list(zip(colors1, dist1[root])), trace)
+    root_colors = _individualize(g1.adjacency, colors1, dist1[root], span, trace)
+    plan = None
     for t in cell_of.get(colors1[root], ()):
-        target_colors = _refine(g2.adjacency, list(zip(colors2, dist2[t])), trace)
+        target_colors = _individualize(g2.adjacency, colors2, dist2[t], span, trace)
         if target_colors is None:
             continue  # refuted: no isomorphism maps root to t
-        found = _search_map(g1, g2, root_colors, target_colors, [(root, t)])
+        if plan is None:
+            plan = _extension_plan(g1, root_colors, (root,))
+        found = _search_map(g1, g2, plan, target_colors, (t,))
         if found is not None:
             return found
     return None
@@ -523,13 +509,11 @@ def _components(graph: Graph) -> list[list[int]]:
 
 
 def _subgraph(graph: Graph, vertices: list[int]) -> Graph:
+    """The subgraph induced on a union of components, relabeled in order."""
     index = {v: i for i, v in enumerate(vertices)}
-    edges = [
-        (index[u], index[v])
-        for u, v in graph.edges()
-        if u in index and v in index
-    ]
-    return graphmod.build_graph(len(vertices), edges)
+    return graphmod.build_graph(
+        len(vertices), [(index[u], index[w]) for u in vertices for w in graph.adjacency[u] if u < w]
+    )
 
 
 def _match_components(g1: Graph, g2: Graph):
@@ -709,9 +693,7 @@ def minimal_block_system(group: PermGroup, alpha: int, beta: int):
             if rd != re:
                 parent[rd] = re
                 queue.append(rd)
-    cells: dict[int, list[int]] = {}
-    for p in range(group.degree):
-        cells.setdefault(find(p), []).append(p)
+    cells = _cells([find(p) for p in range(group.degree)])
     return sorted((tuple(c) for c in cells.values()), key=lambda c: c[0])
 
 

@@ -278,6 +278,28 @@ def test_boolean_vertices_are_refused(capsys, tmp_path, text):
     assert json.loads(out)["error"] == "BadInputFile"
 
 
+@pytest.mark.parametrize("option", ["--group", "--normal"])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"degree": 10, "generators": [[True, False, 2, 3, 4, 5, 6, 7, 8, 9]]},
+        {"degree": True, "generators": []},
+    ],
+    ids=["images", "degree"],
+)
+def test_boolean_group_entries_are_refused(capsys, tmp_path, option, payload):
+    # without the check the images are the swap (0 1), and the degree is 1,
+    # which a type(degree) is int pre-check lets through
+    path = tmp_path / "booleans.json"
+    path.write_text(json.dumps(payload))
+    command = "transitivity" if option == "--group" else "quotient"
+    code, out, err = run(
+        capsys, command, "--atlas", "petersen", option, str(path), "--format", "json"
+    )
+    assert code == 1 and err == ""
+    assert json.loads(out)["error"] == "BadInputFile"
+
+
 def test_missing_group_file(capsys, tmp_path):
     path = tmp_path / "absent.json"
     code, out, _ = run(

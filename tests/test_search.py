@@ -1,9 +1,10 @@
 """The automorphism/isomorphism backtrack against a reference copy of its
 earlier form, and against networkx; the deepest-first level order against
 the top-down pass; searches pruned by known automorphisms against the same
-searches unpruned; the order it counts against a stabilizer chain; and its
-per-level set-up (extension order, refinement, distances) against reference
-copies and the Floyd-Warshall oracle."""
+searches unpruned; the order it counts against a stabilizer chain; the
+plans its callers build (one per set of mapped sources, none kept in a
+graph); and its set-up (extension plan, individualization, refinement,
+distances) against reference copies and the Floyd-Warshall oracle."""
 
 from __future__ import annotations
 
@@ -26,6 +27,13 @@ from geodex.perm import Permutation, build_group
 @functools.lru_cache(maxsize=64)
 def _reference_distances(graph):
     return oracles.floyd_warshall(graph)
+
+
+def _search(g1, g2, colors1, colors2, seeds, known=()):
+    """``_search_map`` from seed pairs (source, target): the plan of the
+    seeds' sources under ``colors1``, and the sources' images."""
+    plan = S._extension_plan(g1, colors1, [u for u, _ in seeds])
+    return S._search_map(g1, g2, plan, colors2, [t for _, t in seeds], known)
 
 
 def _reference_search_map(g1, g2, colors1, colors2, seeds):
@@ -138,30 +146,38 @@ def test_search_matches_reference(graph, data):
         cell = [w for w in range(n) if colors1[w] == colors1[v]]
         seeds = [(f, f) for f in fixed] + [(v, data.draw(st.sampled_from(cell)))]
     want = _reference_search_map(graph, g2, colors1, colors2, seeds)
-    assert S._search_map(graph, g2, colors1, colors2, seeds) == want
+    assert _search(graph, g2, colors1, colors2, seeds) == want
 
 
 @pytest.fixture
 def order_builds(monkeypatch):
-    """A list that gains the mapped sources of every extension-order build."""
+    """A list that gains the mapped sources of every extension-plan build."""
     builds = []
-    original = S._extension_order
+    original = S._extension_plan
 
-    def counted(adjacency, sources):
+    def counted(graph, colors, sources):
         builds.append(tuple(sources))
-        return original(adjacency, sources)
+        return original(graph, colors, sources)
 
-    monkeypatch.setattr(S, "_extension_order", counted)
+    monkeypatch.setattr(S, "_extension_plan", counted)
     return builds
+
+
+#: every key ``graph._cache`` may hold: invariants of the graph, and the
+#: padded distance rows of ``symmetry._distance_probe``, never a search plan
+GRAPH_INVARIANTS = {
+    "adjsets", "arcs", "connected", "diameter", "distmat", "geodesics", "girth",
+    "intersection_array", "probe_rows",
+}
 
 
 def test_one_extension_order_per_level(order_builds, monkeypatch):
     calls = []
     original = S._search_map
 
-    def counted(g1, g2, colors1, colors2, seeds, known=()):
-        calls.append((tuple(sorted(u for u, _ in seeds)), bool(known)))
-        return original(g1, g2, colors1, colors2, seeds, known)
+    def counted(g1, g2, plan, colors2, images, known=()):
+        calls.append((tuple(sorted(plan[0][: len(images)])), bool(known), plan))
+        return original(g1, g2, plan, colors2, images, known)
 
     monkeypatch.setattr(S, "_search_map", counted)
     for name, order in (("foster", 4320), ("hexagon-q2", 12096)):
@@ -171,28 +187,29 @@ def test_one_extension_order_per_level(order_builds, monkeypatch):
         assert S.automorphism_group(graph).order() == order
         # the levels are settled deepest first; those below the first
         # generator found search forward from the branch vertex and share one
-        # plan per level, memoized; every later search runs from its target
-        # back to the branch vertex, with a plan of its own, not memoized
-        forward = [sources for sources, known in calls if not known]
-        backward = [sources for sources, known in calls if known]
-        assert calls == [(c, False) for c in forward] + [(c, True) for c in backward]
+        # plan per level, built at its first search; every later search runs
+        # from its target back to the branch vertex, with a plan of its own
+        forward = [sources for sources, known, _ in calls if not known]
+        backward = [sources for sources, known, _ in calls if known]
+        assert [c[:2] for c in calls] == [(c, False) for c in forward] + [(c, True) for c in backward]
         assert forward and backward
         forward_plans = list(dict.fromkeys(forward))
         assert [tuple(sorted(b)) for b in order_builds] == forward_plans + backward
-        memo = {key[1] for key in graph._cache if isinstance(key, tuple) and key[0] == "extension_plan"}
-        assert memo == set(forward_plans)
+        # ``calls`` keeps every plan alive, so no two share an id
+        assert len({id(plan) for _, known, plan in calls if not known}) == len(forward_plans)
+        assert set(graph._cache) <= GRAPH_INVARIANTS  # no plan is kept
     assert len(forward) > len(forward_plans)  # hexagon-q2's deepest level searches twice
 
 
 @pytest.fixture
 def searches(monkeypatch):
-    """A list that gains the seeds of every ``_search_map`` call."""
+    """A list that gains the seed pairs of every ``_search_map`` call."""
     calls = []
     original = S._search_map
 
-    def counted(g1, g2, colors1, colors2, seeds, known=()):
-        calls.append(seeds)
-        return original(g1, g2, colors1, colors2, seeds, known)
+    def counted(g1, g2, plan, colors2, images, known=()):
+        calls.append(list(zip(plan[0], images)))  # the sources and their images
+        return original(g1, g2, plan, colors2, images, known)
 
     monkeypatch.setattr(S, "_search_map", counted)
     return calls
@@ -219,7 +236,7 @@ def test_one_extension_order_per_isomorphism_test(order_builds, searches, traced
     random.Random(90).shuffle(images)
     relabeled = build_graph(foster.n, [(images[u], images[v]) for u, v in foster.edges()])
     assert S.are_isomorphic(atlas_get("foster").graph, relabeled) is not None
-    assert len(order_builds) == 1
+    assert order_builds == [(0,)]
     # swapping two edges makes a 9-cycle, which changes the distance profile:
     # the pair is rejected before any root target is refined or searched
     swapped = build_graph(foster.n, set(foster.edges()) - {(0, 1), (2, 3)} | {(0, 2), (1, 3)})
@@ -229,6 +246,18 @@ def test_one_extension_order_per_isomorphism_test(order_builds, searches, traced
     assert S.are_isomorphic(atlas_get("foster").graph, swapped) is None
     assert traced_refinements == []
     assert searches == []
+
+
+@pytest.mark.parametrize("name", ["foster", "hexagon-q2", "W(3)"])
+def test_searches_keep_no_plan_in_the_graph(name):
+    base = atlas_get(name).graph
+    graph = build_graph(base.n, base.edges())  # an empty cache
+    relabeled = _relabeled(base, name)
+    S.automorphism_group(graph)
+    assert S.are_isomorphic(graph, relabeled) is not None
+    assert S.are_isomorphic(relabeled, graph) is not None
+    for g in (graph, relabeled):
+        assert g._cache and set(g._cache) <= GRAPH_INVARIANTS
 
 
 def _shrikhande():
@@ -444,6 +473,58 @@ def test_traced_refinement_is_label_independent(graph, data):
     assert _partition(colors) == _partition(S._refine(graph.adjacency, individualized))
 
 
+def _tuple_individualize(adjacency, colors, row, trace=None):
+    """Individualization as the isomorphism test seeded it before one rule
+    served both entry points: (color, distance) pairs, kept as the reference."""
+    return S._refine(adjacency, list(zip(colors, row)), trace)
+
+
+def _assert_individualize_matches_tuple_seeds(g1, g2, colors1, colors2):
+    """Equal colors, id for id, from every vertex of g1 and g2, and the same
+    trace verdict for every (root of g1, target of g2) pair."""
+    span = max(graphmod.diameter(g1), graphmod.diameter(g2)) + 1
+    for graph, colors in ((g1, colors1), (g2, colors2)):
+        dist = graphmod.distance_matrix(graph)
+        for v in range(graph.n):
+            want = _tuple_individualize(graph.adjacency, colors, dist[v])
+            assert S._individualize(graph.adjacency, colors, dist[v], span) == want
+    dist1, dist2 = graphmod.distance_matrix(g1), graphmod.distance_matrix(g2)
+    for root in range(g1.n):
+        trace: list = []
+        want_trace: list = []
+        S._individualize(g1.adjacency, colors1, dist1[root], span, trace)
+        _tuple_individualize(g1.adjacency, colors1, dist1[root], want_trace)
+        for t in range(g2.n):
+            got = S._individualize(g2.adjacency, colors2, dist2[t], span, trace)
+            want = _tuple_individualize(g2.adjacency, colors2, dist2[t], want_trace)
+            assert got == want
+            assert len(trace) == len(want_trace)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(connected_graphs(max_n=10), st.data())
+def test_individualize_matches_tuple_seeds(graph, data):
+    n = graph.n
+    other = data.draw(st.sampled_from([
+        _relabel(graph, data.draw(st.permutations(range(n)))),
+        data.draw(connected_graphs(max_n=10)),
+    ]))
+    if data.draw(st.booleans()):
+        colors1 = S._refine(graph.adjacency, [0] * n)
+        colors2 = S._refine(other.adjacency, [0] * other.n)
+    else:
+        colors1 = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        colors2 = data.draw(st.lists(st.integers(0, 3), min_size=other.n, max_size=other.n))
+    _assert_individualize_matches_tuple_seeds(graph, other, colors1, colors2)
+
+
+def test_individualize_matches_tuple_seeds_on_shrikhande_and_rook():
+    shrikhande, rook = _shrikhande(), _rook_4x4()
+    colors = [0] * 16
+    for g1, g2 in ((shrikhande, rook), (rook, shrikhande), (shrikhande, shrikhande)):
+        _assert_individualize_matches_tuple_seeds(g1, g2, colors, colors)
+
+
 # ---------------------------------------------------------------------------
 # differential tests against networkx
 # ---------------------------------------------------------------------------
@@ -595,7 +676,7 @@ def _reference_automorphism_group(graph):
             if orbit_w & failed:
                 failed |= orbit_w
                 continue
-            found = S._search_map(
+            found = _search(
                 graph, graph, level_colors, level_colors, [(f, f) for f in fixed] + [(v, w)]
             )
             if found is not None:
@@ -613,8 +694,8 @@ def _unpruned_automorphism_group(graph):
     automorphisms: the same settling, with no pruning inside a search."""
     original = S._search_map
 
-    def unpruned(g1, g2, colors1, colors2, seeds, known=()):
-        return original(g1, g2, colors1, colors2, seeds)
+    def unpruned(g1, g2, plan, colors2, images, known=()):
+        return original(g1, g2, plan, colors2, images)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(S, "_search_map", unpruned)
@@ -678,8 +759,8 @@ def test_deeper_generators_skip_failing_searches(monkeypatch):
     original = S._search_map
     failures = []
 
-    def counted(g1, g2, colors1, colors2, seeds, known=()):
-        found = original(g1, g2, colors1, colors2, seeds, known)
+    def counted(g1, g2, plan, colors2, images, known=()):
+        found = original(g1, g2, plan, colors2, images, known)
         failures.append(found is None)
         return found
 
@@ -701,8 +782,8 @@ def test_largest_cell_branching_has_no_failing_search(monkeypatch, name, order):
     original = S._search_map
     failures = []
 
-    def counted(g1, g2, colors1, colors2, seeds, known=()):
-        found = original(g1, g2, colors1, colors2, seeds, known)
+    def counted(g1, g2, plan, colors2, images, known=()):
+        found = original(g1, g2, plan, colors2, images, known)
         failures.append(found is None)
         return found
 
@@ -725,8 +806,8 @@ def _level_searches(graph):
 
 def _assert_pruned_searches_match_unpruned(graph, searches=None):
     for colors, seeds, known in searches or _level_searches(graph):
-        want = S._search_map(graph, graph, colors, colors, seeds)
-        assert S._search_map(graph, graph, colors, colors, seeds, known) == want
+        want = _search(graph, graph, colors, colors, seeds)
+        assert _search(graph, graph, colors, colors, seeds, known) == want
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -766,11 +847,13 @@ def test_pruned_search_matches_unpruned_on_w3_point_to_line_targets(monkeypatch)
     monkeypatch.setattr(S, "_distance_probe", counted)
     pruned = unpruned = 0
     for colors, seeds, known in searches:
+        plan = S._extension_plan(w3, colors, [u for u, _ in seeds])
+        images = [t for _, t in seeds]
         checks.clear()
-        assert S._search_map(w3, w3, colors, colors, seeds) is None
+        assert S._search_map(w3, w3, plan, colors, images) is None
         unpruned += len(checks)
         checks.clear()
-        assert S._search_map(w3, w3, colors, colors, seeds, known) is None
+        assert S._search_map(w3, w3, plan, colors, images, known) is None
         pruned += len(checks)
     assert pruned * 5 < unpruned
 
@@ -870,22 +953,36 @@ def _reference_refine(adjacency, colors, trace=None):
         ncolors = len(ids)
 
 
+def _assert_plan_matches_reference(graph, colors, sources):
+    """The plan's (vertex, anchor) steps are the argmax order; every step
+    holds its vertex's color and its distances to the vertices before it."""
+    sequence, steps = S._extension_plan(graph, colors, sources)
+    assert sequence[: len(sources)] == tuple(sources)
+    assert [u for u, _, _, _ in steps] == list(sequence)
+    assert all(anchor is None for _, anchor, _, _ in steps[: len(sources)])
+    order = tuple((u, sequence[anchor]) for u, anchor, _, _ in steps[len(sources):])
+    assert order == _reference_extension_order(graph.adjacency, sources)
+    dist = _reference_distances(graph)
+    for i, (u, _, color, want) in enumerate(steps):
+        assert color == colors[u]
+        assert list(want) == [dist[u][q] for q in sequence[:i]]
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(connected_graphs(max_n=12), st.data())
 def test_extension_order_matches_argmax(graph, data):
     sources = data.draw(st.lists(st.integers(0, graph.n - 1), min_size=1, unique=True))
-    want = _reference_extension_order(graph.adjacency, sources)
-    assert S._extension_order(graph.adjacency, sources) == want
+    colors = data.draw(st.lists(st.integers(0, 3), min_size=graph.n, max_size=graph.n))
+    _assert_plan_matches_reference(graph, colors, sources)
 
 
 @pytest.mark.parametrize("name", ["foster", "hexagon-q2", "petersen"])
 def test_extension_order_matches_argmax_on_catalog(name):
-    adjacency = atlas_get(name).graph.adjacency
+    graph = atlas_get(name).graph
+    colors = S._refine(graph.adjacency, [0] * graph.n)
     rng = random.Random(name)
     for k in (1, 2, 3, 5, 8, 10):
-        sources = rng.sample(range(len(adjacency)), k)
-        want = _reference_extension_order(adjacency, sources)
-        assert S._extension_order(adjacency, sources) == want
+        _assert_plan_matches_reference(graph, colors, rng.sample(range(graph.n), k))
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -999,16 +1096,45 @@ def test_search_matches_reference_on_relabelings(name):
             for w in branch:
                 seeds = [(f, f) for f in fixed] + [(v, w)]
                 want = _reference_search_map(graph, graph, colors, colors, seeds)
-                assert S._search_map(graph, graph, colors, colors, seeds) == want
+                assert _search(graph, graph, colors, colors, seeds) == want
     # root 0 of the catalog graph to targets 0, 1 and 2 of the last relabeling,
-    # each refined from its distances as are_isomorphic does.  On W(3) two
-    # of them are lines, which no isomorphism maps a point to, so those
-    # searches exhaust the whole tree
+    # each individualized as are_isomorphic does.  On W(3) two of them are
+    # lines, which no isomorphism maps a point to, so those searches exhaust
+    # the whole tree
     trace: list = []
     dist1, dist2 = graphmod.distance_matrix(base), graphmod.distance_matrix(graph)
-    colors1 = S._refine(base.adjacency, list(zip([0] * base.n, dist1[0])), trace)
+    span = graphmod.diameter(base) + 1
+    colors1 = S._individualize(base.adjacency, [0] * base.n, dist1[0], span, trace)
     for t in range(3):
-        colors2 = S._refine(graph.adjacency, list(zip([0] * graph.n, dist2[t])), trace)
+        colors2 = S._individualize(graph.adjacency, [0] * graph.n, dist2[t], span, trace)
         if colors2 is not None:
             want = _reference_search_map(base, graph, colors1, colors2, [(0, t)])
-            assert S._search_map(base, graph, colors1, colors2, [(0, t)]) == want
+            assert _search(base, graph, colors1, colors2, [(0, t)]) == want
+
+
+def _prism(n):
+    """C_n x K2: two n-cycles joined by a perfect matching."""
+    return build_graph(2 * n, [
+        edge for i in range(n)
+        for edge in ((i, (i + 1) % n), (n + i, n + (i + 1) % n), (i, n + i))
+    ])
+
+
+@pytest.mark.parametrize("name, order", [("C300", 600), ("C130 x K2", 520)])
+def test_search_above_256_vertices(name, order):
+    # above 256 vertices a distance check selects with itemgetter, and the
+    # first source of every plan has no earlier vertex to select
+    base = _cycle(300) if name == "C300" else _prism(130)
+    assert base.n > 256
+    for seed in (1, 2):
+        graph = _relabeled(base, seed)
+        group = S.automorphism_group(graph)
+        assert group.order() == order
+        assert group.base()  # builds the chain, which asserts the same order
+        adjsets = graph.neighbor_sets()
+        for g in group.generators:
+            assert all(g.images[v] in adjsets[g.images[u]] for u, v in graph.edges())
+        for g1, g2 in ((base, graph), (graph, base)):
+            found = S.are_isomorphic(g1, g2)
+            assert found is not None and sorted(found) == list(range(g1.n))
+            assert all(g2.has_edge(found[u], found[v]) for u, v in g1.edges())
