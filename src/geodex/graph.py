@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
-from operator import add, or_
+from operator import add, itemgetter, or_
 
 from .errors import (
     BadHeader,
@@ -149,6 +149,10 @@ def _distance_row(adjacency, u: int) -> list[int]:
     return dist
 
 
+#: ``_lane_table`` grows balls by neighbor columns up to this least degree
+_LANE_COLUMNS = 32
+
+
 def _lane_table(adjacency) -> tuple[bytes, ...]:
     """All-pairs distances of a connected graph of diameter at most 255,
     bit-parallel, one ``bytes`` row per vertex.
@@ -160,18 +164,38 @@ def _lane_table(adjacency) -> tuple[bytes, ...]:
     u is R in every lane minus the sum of u's balls before that; no lane
     exceeds R <= 255, so no lane carries into the next, and one
     ``to_bytes`` reads the row out.
+
+    A round grows the balls by neighbor columns: column i, built once, is
+    an ``itemgetter`` over every vertex's i-th neighbor, and one
+    ``map(or_, ...)`` per column ORs its gather of the balls in, for the
+    slots every vertex has; a ``reduce`` per vertex folds in only the slots
+    past the least degree d.  Each column nests one more ``map`` in every
+    ball's path, and past about 32 of them one ``reduce`` per vertex costs
+    less (K128,128 and K256,256 build a quarter to a half slower by
+    columns), so columns run when d <= 32 (``_LANE_COLUMNS``), and a denser
+    graph folds every slot per vertex.
     """
     n = len(adjacency)
     ones = int.from_bytes(b"\x01" * n, "little")
     balls = [1 << (8 * u) for u in range(n)]
     sums = [0] * n
+    least = min(map(len, adjacency))
+    if least > _LANE_COLUMNS:
+        least = 0  # no columns: every slot is folded per vertex
+    columns = [itemgetter(*[nbrs[i] for nbrs in adjacency]) for i in range(least)]
+    rest = [nbrs[least:] for nbrs in adjacency]
+    folded = any(rest)
     rounds = 0
     while min(balls) != ones:  # no ball exceeds ones, and a full one equals it
         sums = list(map(add, sums, balls))
-        balls = [
-            reduce(or_, map(balls.__getitem__, nbrs), ball)
-            for ball, nbrs in zip(balls, adjacency)
-        ]
+        grown = balls
+        for column in columns:
+            grown = map(or_, grown, column(balls))
+        balls = (
+            [reduce(or_, map(balls.__getitem__, nbrs), ball) for ball, nbrs in zip(grown, rest)]
+            if folded
+            else list(grown)
+        )
         rounds += 1
     full = rounds * ones
     return tuple((full - s).to_bytes(n, "little") for s in sums)
@@ -181,10 +205,11 @@ def _distance_table(graph: Graph) -> tuple:
     """The rows of ``distance_matrix``, by BFS or by ``_lane_table``.
 
     The lane build costs a round per unit of diameter D, and a round ORs
-    n-byte ints along every edge (about five BFS rows' worth on C256), so
-    it wins only when D is small against n.  Vertex 0's eccentricity e
-    bounds D by 2e, and lanes run when 10e <= n, so D <= n/5, and when
-    2e <= 255, so every distance fits a byte lane.  BFS rows become bytes
+    an n-byte int per vertex and neighbor slot, by one ``map`` per column
+    of neighbors (about two BFS rows' worth on C256), so it wins only when
+    D is small against n.  Vertex 0's eccentricity e bounds D by 2e, and
+    lanes run when 10e <= n, so D <= n/5, and when 2e <= 255, so every
+    distance fits a byte lane.  BFS rows become bytes
     unless a distance passes 255, and tuples then.
     """
     adjacency = graph.adjacency

@@ -42,7 +42,8 @@ transversal element (``inverse[q]`` is the inverse of ``transversal[q]``), so
 sifting and Schreier generators never invert.  A chain built with base hint
 (p0, ..., pk) holds, in its levels from j on, a chain for the stabilizer of
 p0..p(j-1); so one build of a pointwise stabilizer memoizes, per group, the
-stabilizer of every prefix of its de-duplicated point tuple.
+stabilizer of every prefix of its de-duplicated point tuple, and a later
+tuple's build starts from the stabilizer of its longest memoized prefix.
 
 A chain also records its *walk list*: the generators that enlarged the group
 when they were added, in order.  It generates the same group, and on an
@@ -637,8 +638,11 @@ def orbits(group: PermGroup) -> list[tuple[int, ...]]:
 def pointwise_stabilizer(group: PermGroup, points) -> PermGroup:
     """Subgroup fixing every point of ``points`` (in order).
 
-    One chain build memoizes, in ``group._cache``, the stabilizer of every
-    prefix of the de-duplicated point tuple.
+    Stabilizers are memoized in ``group._cache`` per prefix of the
+    de-duplicated point tuple, and every build memoizes each prefix it
+    passes, so the memoized prefixes of a tuple are its first j for some j.
+    A new tuple's chain is built below the longest one, from that
+    stabilizer's strong generators, not from the whole group.
     """
     pts = tuple(dict.fromkeys(points))  # first occurrences, in order
     for p in pts:
@@ -646,22 +650,25 @@ def pointwise_stabilizer(group: PermGroup, points) -> PermGroup:
             raise PointOutOfRange(f"point {p} outside 0..{group.degree - 1}")
     if not pts:
         return group
+    cache = group._cache
     key = ("stabilizer", pts)
-    if key in group._cache:
-        return group._cache[key]
+    if key in cache:
+        return cache[key]
+    j = len(pts) - 1
+    while j and ("stabilizer", pts[:j]) not in cache:
+        j -= 1
+    below = cache[("stabilizer", pts[:j])] if j else group
     # the other generators would be sifted into the chain and skipped;
-    # walk() has built and checked the group's own chain, so its order is
-    # known and the build may stop once it is reached
-    chain = _build_chain(group.degree, group.walk(), base_hint=pts, target=group.order())
-    for j in range(1, len(pts) + 1):
-        prefix = ("stabilizer", pts[:j])
-        if prefix not in group._cache:
-            # the chain suffix below the first j base points is itself a chain
-            sub = _Chain(group.degree)
-            sub.levels = chain.levels[j:]
-            sub.walk = chain.gens_from_level(j)
-            group._cache[prefix] = _group_from_chain(group.degree, sub.walk, sub)
-    return group._cache[key]
+    # walk() has built and checked the chain ``below`` comes from, so its
+    # order is known and the build may stop once it is reached
+    chain = _build_chain(group.degree, below.walk(), base_hint=pts[j:], target=below.order())
+    for i in range(1, len(pts) - j + 1):
+        # the chain suffix below the first i new base points is itself a chain
+        sub = _Chain(group.degree)
+        sub.levels = chain.levels[i:]
+        sub.walk = chain.gens_from_level(i)
+        cache[("stabilizer", pts[: j + i])] = _group_from_chain(group.degree, sub.walk, sub)
+    return cache[key]
 
 
 def normal_test_and_closure(group: PermGroup, subgroup) -> tuple[bool, PermGroup]:

@@ -84,6 +84,12 @@ def _refine(adjacency, colors, trace=None):
     refinement returns None at the first round that differs.  Refining two
     colorings against one trace thus either refutes every isomorphism that
     maps one coloring onto the other, or gives them corresponding color ids.
+
+    Without a trace, refinement returns as soon as a round makes the
+    partition discrete: a discrete partition is equitable, and its colors are
+    0..n-1, which a further round would map each to itself.  A traced
+    refinement still makes that confirming round, since its record compares
+    the two graphs' edges under the color map, and that refutes targets.
     """
     if trace is not None and not _traced(trace, 0, sorted(colors)):
         return None
@@ -98,7 +104,7 @@ def _refine(adjacency, colors, trace=None):
         rounds += 1
         if trace is not None and not _traced(trace, rounds, keys):
             return None
-        if len(ids) == ncolors:
+        if len(ids) == ncolors or (trace is None and len(ids) == len(colors)):
             return colors
         ncolors = len(ids)
 
@@ -240,6 +246,13 @@ def _search_map(g1, g2, plan, colors2, images, known=()):
     so the same check refuses it.  Each source's image passes the same
     check before the search starts.
 
+    The backtrack is a loop over a stack of frames (candidates iterator,
+    fixing, start, refuted), one per open node above the one it searches.
+    A child starts from its parent's ``fixing`` and ``start`` with nothing
+    refuted; when it runs out of candidates, the parent's frame is popped
+    and the parent's candidate fails.  No recursion follows the plan's
+    depth, which reaches 512 at the vertex cap.
+
     ``known`` holds automorphisms of g2 (image sequences) that preserve
     ``colors2``.  At a node whose candidate t fails, every candidate in t's
     orbit under the known automorphisms fixing the node's whole target path
@@ -264,28 +277,40 @@ def _search_map(g1, g2, plan, colors2, images, known=()):
             return None
         targets.append(t)
 
-    def extend(depth, fixing, start) -> bool:
-        # ``fixing``: the known automorphisms that fix targets[:start]
-        if depth == len(steps):
-            return True
+    # the node being searched lives in locals, and ``frames`` holds
+    # (candidates, fixing, start, refuted) of each open node above it;
+    # ``fixing`` holds the known automorphisms that fix targets[:start]
+    frames = []
+    fixing, start = list(known), 0
+    depth = len(targets)
+    while depth < len(steps):
+        # a child starts from its parent's fixing and start, nothing refuted
         _, anchor, color, want = steps[depth]
-        refuted = ()
-        for t in adj2[targets[anchor]]:
-            if colors2[t] == color and t not in refuted and select(rows2[t]) == want:
-                targets.append(t)
-                if extend(depth + 1, fixing, start):
-                    return True
-                targets.pop()
-                if fixing and start < len(targets):
+        candidates, refuted = iter(adj2[targets[anchor]]), ()
+        while True:
+            for t in candidates:
+                if colors2[t] == color and t not in refuted and select(rows2[t]) == want:
+                    break
+            else:
+                # none left: back to the parent, whose candidate fails
+                if not frames:
+                    return None
+                candidates, fixing, start, refuted = frames.pop()
+                t = targets.pop()
+                depth -= 1
+                _, _, color, want = steps[depth]
+                if fixing and start < depth:
                     path = targets[start:]
                     fixing = [a for a in fixing if all(a[p] == p for p in path)]
-                    start = len(targets)
+                    start = depth
                 if fixing:
                     refuted = permmod._orbit(fixing, (t,)).union(refuted)
-        return False
+                continue
+            break
+        frames.append((candidates, fixing, start, refuted))
+        targets.append(t)
+        depth += 1
 
-    if not extend(len(targets), list(known), 0):
-        return None
     mapping = [-1] * g1.n
     for u, t in zip(sequence, targets):
         mapping[u] = t

@@ -311,6 +311,43 @@ class TestPointwiseStabilizer:
         with pytest.raises(PointOutOfRange):
             perm.pointwise_stabilizer(group, [5, 0, 7, 5, group.degree])
 
+    def test_stabilizers_built_below_a_memoized_prefix_match_fresh_chains(
+        self, ctx, monkeypatch
+    ):
+        # a tuple whose first points are memoized builds its chain from the
+        # longest such prefix's stabilizer, over the points past it only;
+        # every prefix's order and orbits must be those of a chain built
+        # from the whole group
+        hints = []
+        original = perm._build_chain
+
+        def recorded(degree, gens, base_hint=(), target=None):
+            hints.append(tuple(base_hint))
+            return original(degree, gens, base_hint, target)
+
+        monkeypatch.setattr(perm, "_build_chain", recorded)
+        for name, catalog_group in _catalog_groups(ctx):
+            group = build_group(catalog_group.generators, degree=catalog_group.degree)
+            n = group.degree
+            memoized = {()}
+            for points in ((0, n - 1, n // 2), (0, n - 1, 1, n - 2), (0, n // 3, 2)):
+                points = tuple(dict.fromkeys(points))
+                shared = max(j for j in range(len(points) + 1) if points[:j] in memoized)
+                hints.clear()
+                perm.pointwise_stabilizer(group, points)
+                assert hints == ([points[shared:]] if shared < len(points) else []), name
+                memoized.update(points[:j] for j in range(len(points) + 1))
+                for j in range(1, len(points) + 1):
+                    got = perm.pointwise_stabilizer(group, points[:j])
+                    fresh = original(n, group.walk(), base_hint=points[:j])
+                    want_order = 1
+                    for lvl in fresh.levels[j:]:
+                        want_order *= len(lvl.transversal)
+                    gens = fresh.gens_from_level(j)
+                    want_orbits = sorted({tuple(sorted(perm._orbit(gens, (p,)))) for p in range(n)})
+                    assert got.order() == want_order, (name, points[:j])
+                    assert perm.orbits(got) == want_orbits, (name, points[:j])
+
     def test_petersen_two_geodesic_stabilizer(self, petersen, petersen_aut):
         from geodex.graph import first_geodesic
 

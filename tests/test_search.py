@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import functools
 import random
+import sys
+from operator import itemgetter
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -1138,3 +1141,115 @@ def test_search_above_256_vertices(name, order):
             found = S.are_isomorphic(g1, g2)
             assert found is not None and sorted(found) == list(range(g1.n))
             assert all(g2.has_edge(found[u], found[v]) for u, v in g1.edges())
+
+
+def _star(n):
+    return build_graph(n, [(0, i) for i in range(1, n)])
+
+
+def _circulant(n, degree):
+    """Vertex i joined to i ± 1, ..., i ± degree/2 (mod n)."""
+    return build_graph(
+        n, [(i, (i + k) % n) for i in range(n) for k in range(1, degree // 2 + 1)]
+    )
+
+
+def _complete_bipartite(a, b):
+    return build_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(connected_graphs(max_n=16), st.integers(0, 4))
+def test_lane_table_matches_floyd_warshall(graph, columns):
+    # any mix of degrees, with the neighbor columns capped anywhere from
+    # none (every slot folded per vertex) up to the least degree
+    want = oracles.floyd_warshall(graph)
+    with mock.patch.object(graphmod, "_LANE_COLUMNS", columns):
+        assert [list(row) for row in graphmod._lane_table(graph.adjacency)] == want
+
+
+@pytest.mark.parametrize(
+    "graph, columns",
+    [
+        (build_graph(1, []), 0),
+        (_path(2), 1),
+        (_path(12), 1),
+        (_star(9), 1),
+        (_prism(3), 3),
+        (_circulant(80, 32), 32),
+        (_circulant(80, 34), 0),
+        (_complete_bipartite(32, 32), 32),
+        (_complete_bipartite(33, 33), 0),
+        (_complete_bipartite(32, 33), 32),
+        (_complete_bipartite(33, 34), 0),
+    ],
+    ids=["K1", "P2", "P12", "star9", "prism3", "C80(16)", "C80(17)", "K32,32", "K33,33",
+         "K32,33", "K33,34"],
+)
+def test_lane_table_forms_on_both_sides_of_the_column_rule(graph, columns, monkeypatch):
+    # up to least degree 32 the balls grow by one neighbor column per slot
+    # every vertex has, with the slots past it folded per vertex; above it,
+    # every slot is folded per vertex
+    built = []
+
+    def counted(*items):
+        built.append(len(items))
+        return itemgetter(*items)
+
+    monkeypatch.setattr(graphmod, "itemgetter", counted)
+    rows = graphmod._lane_table(graph.adjacency)
+    assert [list(row) for row in rows] == oracles.floyd_warshall(graph)
+    assert built == [graph.n] * columns
+
+
+def _frame_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_search_on_c512_runs_within_a_hundred_frames():
+    # C512's plans are 512 vertices deep; the backtrack is a loop over a
+    # frame stack, so neither search recurses per plan depth
+    c512 = _cycle(512)
+    relabeled = _relabeled(c512, 512)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 100)
+    try:
+        group = S.automorphism_group(relabeled)
+        found = S.are_isomorphic(c512, relabeled)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert group.order() == 1024
+    assert found is not None and sorted(found) == list(range(512))
+    assert all(relabeled.has_edge(found[u], found[v]) for u, v in c512.edges())
+
+
+class _CountedAdjacency(tuple):
+    """An adjacency tuple that counts the passes a refinement makes over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("name", ["foster", "W(3)"])
+def test_untraced_refinement_stops_at_a_discrete_partition(name):
+    # the last base level's individualization makes the partition discrete;
+    # the traced refinement confirms it with one more round, which the
+    # untraced one skips, and both give the same colors
+    graph = atlas_get(name).graph
+    _, colors, _, v = S._base_levels(graph)[-1]
+    row = graphmod.distance_matrix(graph)[v]
+    span = graphmod.diameter(graph) + 1
+    trace: list = []
+    traced = S._individualize(graph.adjacency, colors, row, span, trace)
+    adjacency = _CountedAdjacency(graph.adjacency)
+    untraced = S._individualize(adjacency, colors, row, span)
+    assert sorted(untraced) == list(range(graph.n))
+    assert untraced == traced
+    assert len(trace) >= 3  # the start, a round to discrete, the confirming round
+    assert adjacency.passes == len(trace) - 2
