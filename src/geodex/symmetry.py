@@ -17,14 +17,14 @@ the levels deepest first, as nauty does (McKay & Piperno, *Practical graph
 isomorphism II*, 2014), and uses every automorphism it has found.  One
 orbit partition holds the orbits of all generators found so far; the ones found
 below a level fix its prefix, so a target in the branch vertex's class, or
-in a refuted target's, is skipped without a search.  Above the deepest
-level, each search runs from its target back to the branch vertex, which
-the deeper generators fix, and inside it a failed candidate refutes its
-whole orbit under the known generators that fix the node's target path.
-It reads |Aut| off its own levels: each one ends with the full orbit of its
-branch vertex under the stabilizer of the points fixed before it, and the
-last level's partition is discrete, so |Aut| is the product of those orbit
-lengths.  The group it
+in a refuted target's, is skipped without a search.  At every level each
+search runs from its target back to the branch vertex, which the deeper
+generators fix, and inside it a failed candidate refutes its whole orbit
+under the known generators that fix the node's target path.
+It reads |Aut| off its own levels: each one ends with the branch vertex's
+class as its full orbit under the stabilizer of the points fixed before
+it, and the last level's partition is discrete, so |Aut| is the product
+of those orbit lengths.  The group it
 returns builds its stabilizer chain only on first use, from its generators as
 ``build_group`` would, and raises AssertionError if the chain's order differs
 from that product.
@@ -170,20 +170,20 @@ def _distance_probe(graph: Graph):
 
 
 def _extension_plan(graph: Graph, colors, sources):
-    """(sequence, steps) of every search that maps ``sources`` first.
+    """The steps of every search that maps ``sources`` first.
 
-    The sequence is ``sources``, then one vertex per search depth: a
+    The plan maps ``sources``, then one vertex per search depth: a
     most-constrained vertex (most mapped neighbors, lowest index on ties),
     so refutations close cycles as early as possible, which keeps the search
     shallow even on highly regular graphs.  The choice depends only on which
     sources are mapped, never on their targets, so one plan serves every
-    search that maps the same sources.
+    search that maps the same sources, as ``are_isomorphic``'s targets do.
 
-    Each vertex u of the sequence has one step (u, anchor, color, want):
-    ``anchor`` is the position in the sequence of u's first mapped
+    Each vertex u has one step (u, anchor, color, want), in the order it is
+    mapped: ``anchor`` is the position in the plan of u's first mapped
     neighbor (None for a source), ``color`` is ``colors[u]`` and ``want``
-    u's distances to the vertices before it in the sequence, as
-    ``_distance_probe`` selects them.
+    u's distances to the vertices before it, as ``_distance_probe`` selects
+    them.
 
     ``buckets[c]`` is a heap of the vertices pushed when their count reached
     c; counts only grow, so an entry is current iff its vertex is unplaced
@@ -197,14 +197,14 @@ def _extension_plan(graph: Graph, colors, sources):
     buckets: list[list[int]] = [[]]
     top = 0
     push, pop = heapq.heappush, heapq.heappop
-    sequence, select, rows = _distance_probe(graph)
+    placed, select, rows = _distance_probe(graph)
     steps = []
 
     def place(u, anchor) -> None:
         nonlocal top
         steps.append((u, anchor, colors[u], select(rows[u])))
-        position[u] = len(sequence)
-        sequence.append(u)
+        position[u] = len(placed)
+        placed.append(u)
         for w in adjacency[u]:
             if position[w] < 0:
                 c = nbr_count[w] = nbr_count[w] + 1
@@ -228,7 +228,7 @@ def _extension_plan(graph: Graph, colors, sources):
             if position[anchor] >= 0:
                 break
         place(u, position[anchor])
-    return tuple(sequence), tuple(steps)
+    return tuple(steps)
 
 
 def _search_map(g1, g2, plan, colors2, images, known=()):
@@ -237,7 +237,7 @@ def _search_map(g1, g2, plan, colors2, images, known=()):
     Both graphs must be connected and have the same number of vertices.
 
     Backtracking maps the plan's vertices in order, each to a neighbor of
-    its anchor's image.  The images are kept in the sequence's order, so a
+    its anchor's image.  The images are kept in the plan's order, so a
     target t is consistent with a step (u, anchor, color, want) iff t has
     ``color`` in ``colors2`` and t's distances to the images equal ``want``:
     one ``bytes.translate`` of the images through t's row up to 256
@@ -269,10 +269,9 @@ def _search_map(g1, g2, plan, colors2, images, known=()):
     a level's class of the branch vertex as the full orbit, and so count
     |Aut| without a stabilizer chain.
     """
-    sequence, steps = plan
     adj2 = g2.adjacency
     targets, select, rows2 = _distance_probe(g2)
-    for (_, _, color, want), t in zip(steps, images):
+    for (_, _, color, want), t in zip(plan, images):
         if colors2[t] != color or select(rows2[t]) != want:
             return None
         targets.append(t)
@@ -283,9 +282,9 @@ def _search_map(g1, g2, plan, colors2, images, known=()):
     frames = []
     fixing, start = list(known), 0
     depth = len(targets)
-    while depth < len(steps):
+    while depth < len(plan):
         # a child starts from its parent's fixing and start, nothing refuted
-        _, anchor, color, want = steps[depth]
+        _, anchor, color, want = plan[depth]
         candidates, refuted = iter(adj2[targets[anchor]]), ()
         while True:
             for t in candidates:
@@ -298,7 +297,7 @@ def _search_map(g1, g2, plan, colors2, images, known=()):
                 candidates, fixing, start, refuted = frames.pop()
                 t = targets.pop()
                 depth -= 1
-                _, _, color, want = steps[depth]
+                _, _, color, want = plan[depth]
                 if fixing and start < depth:
                     path = targets[start:]
                     fixing = [a for a in fixing if all(a[p] == p for p in path)]
@@ -312,7 +311,7 @@ def _search_map(g1, g2, plan, colors2, images, known=()):
         depth += 1
 
     mapping = [-1] * g1.n
-    for u, t in zip(sequence, targets):
+    for (u, _, _, _), t in zip(plan, targets):
         mapping[u] = t
     result = tuple(mapping)
     adjsets2 = g2.neighbor_sets()
@@ -385,17 +384,18 @@ def automorphism_group(graph: Graph) -> PermGroup:
     with its class, so v's class ends as the orbit of v under the
     automorphisms fixing the prefix; once the refined partition is discrete
     only the identity is left.  The group's order is the product of the
-    levels' orbit lengths.
+    lengths of those classes.
 
-    A level with deeper generators searches from each target w back to v
-    and keeps the inverse of the map it finds: the deeper generators fix
-    the prefix and v, the root of that search's target path, and keep the
-    level colors, so ``_search_map`` prunes by them; each such search maps
-    its own sources, so it builds its own plan.  The deepest levels, below
-    the first generator found, have nothing to prune by and search forward
-    from v: their searches map the same sources, so each level builds one
-    plan, at its first search.  The generators are returned in top-down
-    level order.
+    Every level searches from each target w back to v and keeps the inverse
+    of the map it finds: the deeper generators fix the prefix and v, the
+    root of that search's target path, and keep the level colors, so
+    ``_search_map`` prunes by them; each search maps its own sources, so it
+    builds its own plan.  Below the first generator found, every deeper
+    level measured an orbit of length 1, so the stabilizer of the prefix
+    and v is trivial and nothing prunes: at most one automorphism fixing
+    the prefix maps v to w, and the search from w finds its inverse or
+    refutes w, as a search from v to w would.  The generators are returned
+    in top-down level order.
 
     The group's stabilizer chain is built on first use (``base()``,
     ``walk()``, ``in``, ``raw_elements()``, a stabilizer) by the call
@@ -404,7 +404,7 @@ def automorphism_group(graph: Graph) -> PermGroup:
     Raises GraphTooLarge above AUTOMORPHISM_VERTEX_CAP vertices.
     """
     _check_search_cap(graph.n)
-    if graph.n == 0 or not graph.connected:
+    if not graph.connected:
         raise Disconnected("automorphism search requires a connected graph")
 
     # the orbits of every generator found so far: each point's class, and
@@ -418,25 +418,18 @@ def automorphism_group(graph: Graph) -> PermGroup:
     for fixed, level_colors, branch, v in reversed(_base_levels(graph)):
         level_gens: list[tuple[int, ...]] = []
         refuted: list[int] = []
-        forward = None  # the plan of the searches from v, built at the first
         for w in branch:
             c = class_of[w]
             if c == class_of[v] or any(class_of[r] == c for r in refuted):
                 continue
-            if deeper:
-                # from w back to v, pruned by the deeper generators, which
-                # fix the prefix and v
-                plan = _extension_plan(graph, level_colors, fixed + (w,))
-                found = _search_map(graph, graph, plan, level_colors, fixed + (v,), deeper)
-                if found is not None:
-                    found = permmod._tuple_inverse(found)
-            else:
-                if forward is None:
-                    forward = _extension_plan(graph, level_colors, fixed + (v,))
-                found = _search_map(graph, graph, forward, level_colors, fixed + (w,))
+            # from w back to v, pruned by the deeper generators, which fix
+            # the prefix and v
+            plan = _extension_plan(graph, level_colors, fixed + (w,))
+            found = _search_map(graph, graph, plan, level_colors, fixed + (v,), deeper)
             if found is None:
                 refuted.append(w)
                 continue
+            found = permmod._tuple_inverse(found)
             level_gens.append(found)
             for p, q in enumerate(found):
                 a, b = class_of[p], class_of[q]
@@ -447,8 +440,8 @@ def automorphism_group(graph: Graph) -> PermGroup:
                         class_of[x] = a
                     members[a] += members[b]
                     members[b] = []
-        # v's class, measured as its orbit under every generator found
-        order *= len(permmod._orbit(deeper + level_gens, (v,)))
+        # v's class is its orbit under every generator found
+        order *= len(members[class_of[v]])
         deeper += level_gens
         per_level.append(level_gens)
     gens_raw = [g for level_gens in reversed(per_level) for g in level_gens]

@@ -1,9 +1,10 @@
 """The automorphism/isomorphism backtrack against a reference copy of its
 earlier form, and against networkx; the deepest-first level order against
-the top-down pass; searches pruned by known automorphisms against the same
-searches unpruned; the order it counts against a stabilizer chain; the
-plans its callers build (one per set of mapped sources, none kept in a
-graph); and its set-up (extension plan, individualization, refinement,
+the top-down pass, and its one search rule against the earlier two-rule
+loop; searches pruned by known automorphisms against the same searches
+unpruned; the order it counts against a stabilizer chain; the plans its
+callers build (one per set of mapped sources, none kept in a graph); and
+its set-up (extension plan, individualization, refinement,
 distances) against reference copies and the Floyd-Warshall oracle."""
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ def test_one_extension_order_per_level(order_builds, monkeypatch):
     original = S._search_map
 
     def counted(g1, g2, plan, colors2, images, known=()):
-        calls.append((tuple(sorted(plan[0][: len(images)])), bool(known), plan))
+        calls.append((plan, tuple(images), [tuple(g) for g in known]))
         return original(g1, g2, plan, colors2, images, known)
 
     monkeypatch.setattr(S, "_search_map", counted)
@@ -187,21 +188,30 @@ def test_one_extension_order_per_level(order_builds, monkeypatch):
         graph = atlas_get(name).graph  # a fresh graph with an empty cache
         calls.clear()
         order_builds.clear()
-        assert S.automorphism_group(graph).order() == order
-        # the levels are settled deepest first; those below the first
-        # generator found search forward from the branch vertex and share one
-        # plan per level, built at its first search; every later search runs
-        # from its target back to the branch vertex, with a plan of its own
-        forward = [sources for sources, known, _ in calls if not known]
-        backward = [sources for sources, known, _ in calls if known]
-        assert [c[:2] for c in calls] == [(c, False) for c in forward] + [(c, True) for c in backward]
-        assert forward and backward
-        forward_plans = list(dict.fromkeys(forward))
-        assert [tuple(sorted(b)) for b in order_builds] == forward_plans + backward
+        group = S.automorphism_group(graph)
+        assert group.order() == order
+        gens = [g.images for g in group.generators]
+        levels = {fixed + (v,): branch for fixed, _, branch, v in S._base_levels(graph)}
+        # every search builds its own plan, just before it runs: its sources
+        # are the prefix plus the target, its images the prefix plus the
+        # branch vertex
+        assert len(order_builds) == len(calls)
+        for sources, (plan, images, known) in zip(order_builds, calls):
+            assert tuple(u for u, _, _, _ in plan[: len(images)]) == sources
+            assert sources[:-1] == images[:-1] and sources[-1] in levels[images]
+            assert sources[-1] != images[-1]
+            # ``known`` is the deeper levels' generators: every generator
+            # found fixes its level's prefix and moves the branch vertex
+            assert sorted(known) == sorted(g for g in gens if all(g[p] == p for p in images))
+        # the deepest levels search before any generator is found
+        empty = [not known for _, _, known in calls]
+        assert empty[0] and not empty[-1] and empty == sorted(empty, reverse=True)
         # ``calls`` keeps every plan alive, so no two share an id
-        assert len({id(plan) for _, known, plan in calls if not known}) == len(forward_plans)
+        assert len({id(plan) for plan, _, _ in calls}) == len(calls)
         assert set(graph._cache) <= GRAPH_INVARIANTS  # no plan is kept
-    assert len(forward) > len(forward_plans)  # hexagon-q2's deepest level searches twice
+    # hexagon-q2's deepest level searches twice, with two plans
+    deepest = [images for _, images, known in calls if not known]
+    assert len(deepest) > len(set(deepest))
 
 
 @pytest.fixture
@@ -211,7 +221,7 @@ def searches(monkeypatch):
     original = S._search_map
 
     def counted(g1, g2, plan, colors2, images, known=()):
-        calls.append(list(zip(plan[0], images)))  # the sources and their images
+        calls.append([(u, t) for (u, _, _, _), t in zip(plan, images)])  # sources, images
         return original(g1, g2, plan, colors2, images, known)
 
     monkeypatch.setattr(S, "_search_map", counted)
@@ -750,6 +760,68 @@ def test_deepest_first_matches_top_down_on_relabelings(name):
         _assert_same_group_as_reference(_relabel(base, images))
 
 
+def _two_rule_automorphism_group(graph):
+    """``automorphism_group`` as it was before every level searched back to
+    its branch vertex: below the first generator found, a level searched
+    forward from the branch vertex v to each target with one plan, built at
+    its first search, and only the levels above searched from each target
+    back to v.  It reads each level's order off an orbit closure."""
+    class_of = list(range(graph.n))
+    members = [[p] for p in range(graph.n)]
+    deeper = []
+    per_level = []
+    order = 1
+    for fixed, level_colors, branch, v in reversed(S._base_levels(graph)):
+        level_gens = []
+        refuted = []
+        forward = None
+        for w in branch:
+            c = class_of[w]
+            if c == class_of[v] or any(class_of[r] == c for r in refuted):
+                continue
+            if deeper:
+                plan = S._extension_plan(graph, level_colors, fixed + (w,))
+                found = S._search_map(graph, graph, plan, level_colors, fixed + (v,), deeper)
+                if found is not None:
+                    found = S.permmod._tuple_inverse(found)
+            else:
+                if forward is None:
+                    forward = S._extension_plan(graph, level_colors, fixed + (v,))
+                found = S._search_map(graph, graph, forward, level_colors, fixed + (w,))
+            if found is None:
+                refuted.append(w)
+                continue
+            level_gens.append(found)
+            for p, q in enumerate(found):
+                a, b = class_of[p], class_of[q]
+                if a != b:
+                    for x in members[b]:
+                        class_of[x] = a
+                    members[a] += members[b]
+                    members[b] = []
+        order *= len(S.permmod._orbit(deeper + level_gens, (v,)))
+        deeper += level_gens
+        per_level.append(level_gens)
+    gens = [Permutation(g) for level_gens in reversed(per_level) for g in level_gens]
+    return S.PermGroup(graph.n, tuple(gens), order)
+
+
+@pytest.mark.parametrize("name", atlas_list() + ["PG(2,4)", "PG(2,5)", "W(3)"])
+def test_one_rule_matches_two_rules(name):
+    # below the first generator found, the prefix and the branch vertex have
+    # a trivial stabilizer, so searching back from each target refutes the
+    # same targets and finds the inverse of each forward map
+    base = atlas_get(name).graph
+    for graph in (base, _relabeled(base, 1), _relabeled(base, 2)):
+        group = S.automorphism_group(graph)
+        want = _two_rule_automorphism_group(graph)
+        assert group.generators == want.generators
+        assert group.order() == want.order()
+        assert group.base() == want.base()
+        assert group.basic_orbit_sizes() == want.basic_orbit_sizes()
+        assert group.walk() == want.walk()
+
+
 def test_deeper_generators_skip_failing_searches(monkeypatch):
     # W(3)'s first branch cell holds points and lines, which refinement cannot
     # split; orbits under the deeper levels' generators skip searches that
@@ -889,19 +961,22 @@ def test_search_order_matches_chain_on_claim_10_corpus():
 
 
 def test_undercounted_level_fails_at_the_chain_build(monkeypatch):
-    # drop one point from every orbit of vertex 0 that the search measures:
-    # Petersen's first level then counts 9 of its 10 points
-    original = S.permmod._orbit
+    # drop one point from every class of vertex 0 whose length the search
+    # reads as a level's orbit: Petersen's first level then counts 9 of its
+    # 10 points.  ``len`` is looked up in the module's globals before the
+    # builtins, and only ``automorphism_group``'s own calls are shrunk
+    count = len
 
-    def shrunk(gens, seeds):
-        out = original(gens, seeds)
-        if tuple(seeds) == (0,) and len(out) > 1:
-            out.discard(max(out))
+    def shrunk(obj):
+        out = count(obj)
+        caller = sys._getframe(1).f_code
+        if caller is S.automorphism_group.__code__ and out > 1 and 0 in obj:
+            out -= 1
         return out
 
-    monkeypatch.setattr(S.permmod, "_orbit", shrunk)
+    monkeypatch.setattr(S, "len", shrunk, raising=False)
     group = S.automorphism_group(atlas_get("petersen").graph)
-    monkeypatch.setattr(S.permmod, "_orbit", original)
+    monkeypatch.delattr(S, "len")
     assert group.order() == 108
     with pytest.raises(AssertionError, match="order 120, expected 108"):
         group.base()
@@ -959,16 +1034,16 @@ def _reference_refine(adjacency, colors, trace=None):
 def _assert_plan_matches_reference(graph, colors, sources):
     """The plan's (vertex, anchor) steps are the argmax order; every step
     holds its vertex's color and its distances to the vertices before it."""
-    sequence, steps = S._extension_plan(graph, colors, sources)
-    assert sequence[: len(sources)] == tuple(sources)
-    assert [u for u, _, _, _ in steps] == list(sequence)
+    steps = S._extension_plan(graph, colors, sources)
+    assert tuple(u for u, _, _, _ in steps[: len(sources)]) == tuple(sources)
+    assert sorted(u for u, _, _, _ in steps) == list(range(graph.n))
     assert all(anchor is None for _, anchor, _, _ in steps[: len(sources)])
-    order = tuple((u, sequence[anchor]) for u, anchor, _, _ in steps[len(sources):])
+    order = tuple((u, steps[anchor][0]) for u, anchor, _, _ in steps[len(sources):])
     assert order == _reference_extension_order(graph.adjacency, sources)
     dist = _reference_distances(graph)
     for i, (u, _, color, want) in enumerate(steps):
         assert color == colors[u]
-        assert list(want) == [dist[u][q] for q in sequence[:i]]
+        assert list(want) == [dist[u][q] for q, _, _, _ in steps[:i]]
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -59,6 +59,9 @@ class TestAutomorphismGroup:
     def test_disconnected_rejected(self):
         with pytest.raises(Disconnected):
             S.automorphism_group(build_graph(4, [(0, 1), (2, 3)]))
+        # a graph with no vertices is not connected
+        with pytest.raises(Disconnected):
+            S.automorphism_group(build_graph(0, []))
 
     def test_cap(self, petersen, monkeypatch):
         monkeypatch.setattr(S, "AUTOMORPHISM_VERTEX_CAP", 5)
