@@ -27,15 +27,16 @@ Python frame; closing a level builds one table per acting generator, listing
 the elements one per transversal element, and a conjugation loop one per
 conjugator and one per conjugated element.
 
-Groups are represented by a base and strong generating set built with a
-deterministic Schreier-Sims procedure: base points are taken from an optional
-hint first and otherwise as the smallest point moved by the offending
-residue, so the same generator list always produces the same chain.
-``build_group`` builds the chain at once.  A group whose order is already
-known (the automorphism search counts it from its own orbits) is made with
-``PermGroup(degree, generators, order)`` and builds the same chain from its
-generators only on first use, checking its order then; ``order()`` never
-builds one.
+Groups are represented by a base and strong generating set.  ``build_group``
+builds one at once with a deterministic Schreier-Sims procedure: base points
+are taken from an optional hint first and otherwise as the smallest point
+moved by the offending residue, so the same generator list always produces
+the same chain.  The automorphism search knows a base and strong generating
+set already (its branch vertices, and the generators each level found) and
+the order (from its own orbits); it hands them to ``group_from_levels``,
+whose group builds its chain from those levels only on first use, by one
+orbit walk per level (``_Chain.from_levels``), checking the order then.
+``order()`` never builds a chain.
 
 Each chain level stores its transversal together with the inverse of every
 transversal element (``inverse[q]`` is the inverse of ``transversal[q]``), so
@@ -45,13 +46,17 @@ p0..p(j-1); so one build of a pointwise stabilizer memoizes, per group, the
 stabilizer of every prefix of its de-duplicated point tuple, and a later
 tuple's build starts from the stabilizer of its longest memoized prefix.
 
-A chain also records its *walk list*: the generators that enlarged the group
-when they were added, in order.  It generates the same group, and on an
-automorphism group found by search it is two or three of seven to nine
-generators.  Every question whose answer does not depend on the generating
-set walks it: orbits, abelianness, conjugacy classes, a normality test and
-the chain of a pointwise stabilizer.  What returns generators (a group, a
-normal closure, a restriction, an induced action) keeps the caller's list.
+A chain also records its *walk list*: generators that each enlarged the
+group made by those before them.  It generates the same group.  A
+Schreier-Sims chain walks the generators that enlarged the group when they
+were added, in order; a chain read off the search's levels walks its strong
+generators, deepest level first (on Foster's Aut all 4 generators, on
+PG(2,5)'s all 8).  Every question whose answer does not depend on the generating
+set walks it: orbits, abelianness, conjugacy classes and a normality test.
+The chain of a pointwise stabilizer is built from the generators in their
+listed order, which skips those the walk omits, and takes a search group's
+top levels first.  What returns generators (a group, a normal closure, a
+restriction, an induced action) keeps the caller's list.
 
 Minimal normal subgroups are normal closures of class representatives of
 prime order only: by Cauchy's theorem each minimal normal subgroup holds an
@@ -276,9 +281,9 @@ def parse_cycle_string(text: str, degree: int) -> Permutation:
 class _Level:
     __slots__ = ("point", "gens", "transversal", "inverse", "processed")
 
-    def __init__(self, point: int, identity, identity_table):
+    def __init__(self, point: int, identity, identity_table, gens=()):
         self.point = point
-        self.gens = []  # strong generators installed at this level
+        self.gens = list(gens)  # strong generators installed at this level
         # transversal[q] = t with t[point] == q; inverse[q] is the table of
         # t's inverse
         self.transversal = {point: identity}
@@ -314,6 +319,52 @@ class _Chain:
                 raise PointOutOfRange(f"base point {b} outside 0..{degree - 1}")
             if all(lvl.point != b for lvl in self.levels):
                 self._add_level(b)
+
+    @classmethod
+    def from_levels(cls, degree: int, levels, order: int) -> _Chain:
+        """The chain on ``levels``, top-down, whose points are a base and
+        whose generators a strong generating set for a group of ``order``
+        elements: each level's generators fix the points above it, and those
+        of a level and every deeper one make the stabilizer of those points.
+
+        Deepest level first, a level whose transversal holds its point alone
+        is filled by one walk of its point's orbit under
+        ``gens_from_level(k)``.  A level of a complete chain has closed its
+        orbit already, and one of length 1 has its point fixed by every
+        acting generator, so neither is walked again.  Levels whose orbit has
+        length 1 are left out, as Schreier-Sims leaves them out.  Raises
+        AssertionError unless the orbit lengths multiply to ``order``.  The
+        walk list is the strong generators, deepest level first.
+        """
+        chain = cls(degree)
+        apply, table = chain.apply, chain.table
+        tables = {}
+        acting = []  # gens_from_level(k) of the level being walked
+        kept = []
+        for lvl in reversed(levels):
+            acting = lvl.gens + acting
+            point, transversal, inverse = lvl.point, lvl.transversal, lvl.inverse
+            if len(transversal) == 1 and any(g[point] != point for g in acting):
+                for g in acting:
+                    if g not in tables:
+                        tables[g] = table(g)
+                pairs = [(g, tables[g]) for g in acting]
+                queue = [point]
+                for p in queue:  # walked while it grows
+                    t = transversal[p]
+                    for g, g_table in pairs:
+                        q = g[p]
+                        if q not in transversal:
+                            transversal[q] = t_q = apply(t, g_table)
+                            inverse[q] = table(_inverse(t_q))
+                            queue.append(q)
+            if len(transversal) > 1:
+                kept.append(lvl)
+        chain.levels = kept[::-1]
+        chain.walk = [g for lvl in kept for g in lvl.gens]
+        if chain.order() != order:
+            raise AssertionError(f"stabilizer chain has order {chain.order()}, expected {order}")
+        return chain
 
     def _add_level(self, point: int) -> None:
         self.levels.append(_Level(point, self.identity, self.table(self.identity)))
@@ -463,9 +514,11 @@ class PermGroup:
     """A finite permutation group on {0, ..., degree-1} with ``_order``
     elements.
 
-    Its stabilizer chain is ``_cache["chain"]``.  A group made without one
-    builds it from its generators on first use, as ``build_group`` does, and
-    raises AssertionError if the chain's order is not ``_order``.
+    Its stabilizer chain is ``_cache["chain"]``.  A group from
+    ``group_from_levels`` holds its base points and strong generators as
+    ``_cache["levels"]`` instead, and builds its chain from them on first use
+    (``_Chain.from_levels``), raising AssertionError if the chain's order is
+    not ``_order``.
     """
 
     degree: int
@@ -477,11 +530,14 @@ class PermGroup:
     def _chain(self) -> _Chain:
         chain = self._cache.get("chain")
         if chain is None:
-            chain = _build_chain(self.degree, [g.images for g in self.generators])
-            if chain.order() != self._order:
-                raise AssertionError(
-                    f"stabilizer chain has order {chain.order()}, expected {self._order}"
-                )
+            form = _form(self.degree)
+            identity = form.raw(range(self.degree))
+            identity_table = form.table(identity)
+            levels = [
+                _Level(point, identity, identity_table, map(form.raw, gens))
+                for point, gens in self._cache["levels"]
+            ]
+            chain = _Chain.from_levels(self.degree, levels, self._order)
             self._cache["chain"] = chain
         return chain
 
@@ -504,10 +560,13 @@ class PermGroup:
         return tuple(len(lvl.transversal) for lvl in self._chain.levels)
 
     def walk(self) -> list:
-        """Raw images (bytes up to degree 256, else tuples) of the generators
-        that each enlarged the group made by those before them: a subsequence
-        of the generators, making the same group.  (A stabilizer read off
-        another group's chain walks all its strong generators.)"""
+        """Raw images (bytes up to degree 256, else tuples) of generators
+        that each enlarged the group made by those before them, making the
+        same group.  A group built from its generators walks a subsequence of
+        them; one from ``group_from_levels`` walks all of them, its strong
+        generators, deepest level first.  (A stabilizer read off another
+        group's chain walks all its strong generators, deepest level first,
+        and not each of those need enlarge the group.)"""
         return self._chain.walk
 
     # -- element access ----------------------------------------------------
@@ -613,6 +672,22 @@ def group_from_json(data: dict) -> PermGroup:
     return build_group(gens, degree=degree)
 
 
+def group_from_levels(degree: int, levels, order: int) -> PermGroup:
+    """The group of ``order`` elements with a known base and strong
+    generating set: ``levels`` lists, top-down, each base point with the
+    image sequences of the strong generators installed at it.  Each of
+    those fixes the points above it, and those of a level and every deeper
+    one make the stabilizer of those points.
+
+    The generators are the levels', top-down.  The group keeps ``levels``
+    and builds its chain from them on first use (``_Chain.from_levels``),
+    which asserts that their orbits multiply to ``order``; ``order()``
+    never builds it.
+    """
+    gens = tuple(Permutation(g) for _, level_gens in levels for g in level_gens)
+    return PermGroup(degree, gens, order, {"levels": levels})
+
+
 def _group_from_chain(degree: int, raw_gens, chain: _Chain) -> PermGroup:
     return PermGroup(degree, tuple(Permutation(g) for g in raw_gens), chain.order(), {"chain": chain})
 
@@ -658,16 +733,25 @@ def pointwise_stabilizer(group: PermGroup, points) -> PermGroup:
     while j and ("stabilizer", pts[:j]) not in cache:
         j -= 1
     below = cache[("stabilizer", pts[:j])] if j else group
-    # the other generators would be sifted into the chain and skipped;
-    # walk() has built and checked the chain ``below`` comes from, so its
-    # order is known and the build may stop once it is reached
-    chain = _build_chain(group.degree, below.walk(), base_hint=pts[j:], target=below.order())
+    # ``below``'s chain is built and checked here, so its order is known and
+    # the build may stop once it is reached.  The build takes the generators
+    # in their listed order, and one in the group made by those before it is
+    # sifted and skipped.  A search group's walk lists its deepest levels
+    # first, each generator enlarging the chain being built; listed
+    # top-down, the first ones reach most of the order (K32,32's
+    # transitivity_degrees took 0.77 s from the walk, 0.34 s from the
+    # generators)
+    order = below._chain.order()
+    chain = _build_chain(
+        group.degree, [g.images for g in below.generators], base_hint=pts[j:], target=order
+    )
     for i in range(1, len(pts) - j + 1):
-        # the chain suffix below the first i new base points is itself a chain
-        sub = _Chain(group.degree)
-        sub.levels = chain.levels[i:]
-        sub.walk = chain.gens_from_level(i)
-        cache[("stabilizer", pts[: j + i])] = _group_from_chain(group.degree, sub.walk, sub)
+        # the chain's levels below the first i new base points are a chain of
+        # their own, with every orbit closed already
+        order //= len(chain.levels[i - 1].transversal)
+        sub = _Chain.from_levels(group.degree, chain.levels[i:], order)
+        gens = chain.gens_from_level(i)
+        cache[("stabilizer", pts[: j + i])] = _group_from_chain(group.degree, gens, sub)
     return cache[key]
 
 

@@ -24,10 +24,11 @@ under the known generators that fix the node's target path.
 It reads |Aut| off its own levels: each one ends with the branch vertex's
 class as its full orbit under the stabilizer of the points fixed before
 it, and the last level's partition is discrete, so |Aut| is the product
-of those orbit lengths.  The group it
-returns builds its stabilizer chain only on first use, from its generators as
-``build_group`` would, and raises AssertionError if the chain's order differs
-from that product.
+of those orbit lengths.  The branch vertices are a base, and the generators
+found at a level and below make the stabilizer of the points fixed before
+it, so the group it returns reads its stabilizer chain off those levels on
+first use (``perm.group_from_levels``), with no Schreier-Sims run, and raises
+AssertionError if the chain's orbits do not multiply to that product.
 The isomorphism test first compares the multisets of the two graphs'
 per-row distance counts (how many vertices lie at each distance from a
 vertex), an invariant that tells most non-isomorphic pairs with equal
@@ -60,7 +61,7 @@ from .errors import (
     ValencyNotPrimePowerPlusOne,
 )
 from .graph import Graph
-from .perm import PermGroup, Permutation
+from .perm import PermGroup
 
 #: automorphism/isomorphism search refuses graphs larger than this
 AUTOMORPHISM_VERTEX_CAP = 512
@@ -397,10 +398,14 @@ def automorphism_group(graph: Graph) -> PermGroup:
     refutes w, as a search from v to w would.  The generators are returned
     in top-down level order.
 
-    The group's stabilizer chain is built on first use (``base()``,
-    ``walk()``, ``in``, ``raw_elements()``, a stabilizer) by the call
-    ``build_group`` makes, so every base, orbit and element order is the
-    same, and that build asserts the chain's order equals the product.
+    The branch vertices, top-down, are a base, and each level's generators
+    are strong generators installed at it: they fix the prefix, and with
+    the deeper levels' they make its stabilizer.  The group is made from
+    those levels (``perm.group_from_levels``), and its stabilizer chain is
+    read off them on first use (``base()``, ``walk()``, ``in``,
+    ``raw_elements()``, a stabilizer): one orbit walk per level, leaving out
+    the levels whose orbit has length 1, asserting that the orbit lengths
+    multiply to the product.
     Raises GraphTooLarge above AUTOMORPHISM_VERTEX_CAP vertices.
     """
     _check_search_cap(graph.n)
@@ -413,7 +418,7 @@ def automorphism_group(graph: Graph) -> PermGroup:
     members = [[p] for p in range(graph.n)]
 
     deeper: list[tuple[int, ...]] = []  # generators of the levels settled so far
-    per_level: list[list[tuple[int, ...]]] = []
+    per_level: list[tuple[int, list[tuple[int, ...]]]] = []  # (v, its level's generators)
     order = 1
     for fixed, level_colors, branch, v in reversed(_base_levels(graph)):
         level_gens: list[tuple[int, ...]] = []
@@ -443,9 +448,8 @@ def automorphism_group(graph: Graph) -> PermGroup:
         # v's class is its orbit under every generator found
         order *= len(members[class_of[v]])
         deeper += level_gens
-        per_level.append(level_gens)
-    gens_raw = [g for level_gens in reversed(per_level) for g in level_gens]
-    return PermGroup(graph.n, tuple(Permutation(g) for g in gens_raw), order)
+        per_level.append((v, level_gens))
+    return permmod.group_from_levels(graph.n, per_level[::-1], order)
 
 
 def are_isomorphic(g1: Graph, g2: Graph):

@@ -348,6 +348,68 @@ class TestPointwiseStabilizer:
                     assert got.order() == want_order, (name, points[:j])
                     assert perm.orbits(got) == want_orbits, (name, points[:j])
 
+    def test_prefix_stabilizers_keep_the_closed_orbits(self, monkeypatch):
+        # each prefix stabilizer's chain is made by ``_Chain.from_levels``
+        # from the build's own levels below its points: no orbit is walked
+        # again, so no product or table is made.  A group from the search
+        # reads its own chain off its levels with walks that do make them.
+        from geodex.atlas import atlas_get
+        from geodex.graph import first_geodesic
+        from geodex.symmetry import automorphism_group
+
+        reads = []
+        original = perm._Chain.from_levels.__func__
+
+        def counted(cls, degree, levels, order):
+            form = perm._form(degree)
+            made = []
+
+            def apply(p, t):
+                made.append(p)
+                return form.apply(p, t)
+
+            def table(q):
+                made.append(q)
+                return form.table(q)
+
+            levels = list(levels)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(perm, "_form", lambda d: form._replace(apply=apply, table=table))
+                chain = original(cls, degree, levels, order)
+            reads.append((len(made), levels, chain))
+            return chain
+
+        built = []
+        build = perm._build_chain
+
+        def recorded(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(perm._Chain, "from_levels", classmethod(counted))
+        monkeypatch.setattr(perm, "_build_chain", recorded)
+        for name, s in (("foster", 8), ("W(3)", 4), ("PG(2,4)", 3)):
+            graph = atlas_get(name).graph
+            group = automorphism_group(graph)
+            group.base()
+            [(made, _, _)] = reads
+            assert made > 0, name
+            reads.clear()
+            path = first_geodesic(graph, s)
+            perm.pointwise_stabilizer(group, path)
+            [chain] = built
+            assert len(reads) == len(path)
+            for i, (made, levels, sub) in enumerate(reads, 1):
+                assert made == 0, (name, i)
+                assert all(a is b for a, b in zip(levels, chain.levels[i:])), (name, i)
+                assert len(levels) == len(chain.levels) - i
+                stabilizer = perm.pointwise_stabilizer(group, path[:i])
+                assert stabilizer._chain is sub
+                assert stabilizer.order() == sub.order()
+                assert all(len(lvl.transversal) > 1 for lvl in sub.levels)
+            reads.clear()
+            built.clear()
+
     def test_petersen_two_geodesic_stabilizer(self, petersen, petersen_aut):
         from geodex.graph import first_geodesic
 
@@ -573,6 +635,10 @@ class TestWalkList:
         walk = [tuple(w) for w in group.walk()]
         gens = iter(g.images for g in group.generators)
         assert all(w in gens for w in walk)  # a subsequence
+        TestWalkList._check_enlarging(group, walk)
+
+    @staticmethod
+    def _check_enlarging(group, walk):
         closure = [Permutation(w) for w in walk]
         assert multiplication_closure_order(closure) == group.order()
         for i in range(len(walk)):
@@ -595,19 +661,32 @@ class TestWalkList:
             self._check(closure)
 
     def test_catalog_walk_lengths(self, ctx):
-        # generators -> walk: Foster 4 -> 2, Biggs-Smith 3 -> 3,
-        # Tutte-Coxeter 4 -> 3, hexagon-q2 4 -> 2
+        # a group from the search walks all its generators, its strong
+        # generators, deepest level first: generators -> walk is Foster
+        # 4 -> 4, Biggs-Smith 3 -> 3, Tutte-Coxeter 4 -> 4, hexagon-q2 4 -> 4
+        names = ("foster", "biggs-smith", "tutte-coxeter", "hexagon-q2")
         lengths = {
-            name: (len(ctx.aut(name).generators), len(ctx.aut(name).walk()))
-            for name in ("foster", "biggs-smith", "tutte-coxeter", "hexagon-q2")
+            name: (len(ctx.aut(name).generators), len(ctx.aut(name).walk())) for name in names
         }
         assert lengths == {
-            "foster": (4, 2),
+            "foster": (4, 4),
             "biggs-smith": (3, 3),
-            "tutte-coxeter": (4, 3),
-            "hexagon-q2": (4, 2),
+            "tutte-coxeter": (4, 4),
+            "hexagon-q2": (4, 4),
         }
-        self._check(ctx.aut("biggs-smith"))
+        for name in names:
+            group = ctx.aut(name)
+            base = group.base()
+
+            def level(images):
+                # a strong generator's level is the first base point it moves
+                return next(k for k, p in enumerate(base) if images[p] != p)
+
+            walk = [tuple(w) for w in group.walk()]
+            gens = [g.images for g in group.generators]
+            # the generators are listed top-down; sorting is stable
+            assert walk == sorted(gens, key=level, reverse=True), name
+            self._check_enlarging(group, walk)
 
 
 class TestNormalStructureReference:
@@ -682,7 +761,8 @@ class TestNormalStructureReference:
 
 class TestLazyChain:
     """A group from the automorphism search knows its order from the
-    search's orbits and builds its chain only on first use."""
+    search's orbits, and reads its chain off the search's levels on first
+    use: one orbit walk per level, with no Schreier-Sims build."""
 
     ACCESSORS = {
         "base": lambda g: g.base(),
@@ -693,31 +773,51 @@ class TestLazyChain:
 
     @pytest.mark.parametrize("name", ["petersen", "foster"])
     @pytest.mark.parametrize("accessor", sorted(ACCESSORS))
-    def test_first_use_builds_one_chain(self, name, accessor, chain_builds):
+    def test_first_use_builds_one_chain(self, name, accessor, chain_builds, monkeypatch):
         from geodex.atlas import atlas_get
-        from geodex.symmetry import automorphism_group
+        from geodex.symmetry import _base_levels, automorphism_group
 
-        group = automorphism_group(atlas_get(name).graph)
+        reads = []
+        original = perm._Chain.from_levels.__func__
+
+        def counted(cls, degree, levels, order):
+            reads.append(degree)
+            return original(cls, degree, levels, order)
+
+        monkeypatch.setattr(perm._Chain, "from_levels", classmethod(counted))
+        graph = atlas_get(name).graph
+        group = automorphism_group(graph)
         assert group.order() == atlas_get(name).expected.aut_order
         assert repr(group).startswith("PermGroup(")  # reads the order only
-        assert chain_builds == []
+        assert reads == [] and chain_builds == []
         self.ACCESSORS[accessor](group)
-        assert chain_builds == [group.degree]
+        for use in self.ACCESSORS.values():
+            use(group)
+        assert reads == [group.degree]  # one chain, read off the levels
+        assert chain_builds == []  # and no Schreier-Sims build
+        # every level of these graphs' searches measured an orbit of more
+        # than one point, so the base is the branch vertices
+        assert group.base() == tuple(v for *_, v in _base_levels(graph))
         eager = build_group(group.generators)
-        assert group.base() == eager.base()
-        assert group.basic_orbit_sizes() == eager.basic_orbit_sizes()
-        assert group.walk() == eager.walk()
-        assert group.raw_elements() == eager.raw_elements()
-        assert chain_builds == [group.degree] * 2  # the eager one is build_group's
+        assert group.order() == eager.order()
+        assert all(eager.contains_raw(g) for g in group.walk())
+        assert all(group.contains_raw(g) for g in eager.walk())
+        assert sorted(group.raw_elements()) == sorted(eager.raw_elements())
+        assert chain_builds == [group.degree]  # build_group's own
 
     def test_built_chain_matches_the_counted_order(self):
         from geodex.atlas import atlas_get
         from geodex.symmetry import automorphism_group
 
         group = automorphism_group(atlas_get("hexagon-q2").graph)
-        sizes = group.basic_orbit_sizes()
         assert group._chain.order() == group.order() == 12096
-        assert sizes == build_group(group.generators).basic_orbit_sizes()
+        # the branch vertices, each with its orbit under the generators
+        # found at its level and below
+        assert group.base() == (0, 5, 16)
+        assert group.basic_orbit_sizes() == (63, 48, 4)
+        for k, lvl in enumerate(group._chain.levels):
+            gens = group._chain.gens_from_level(k)
+            assert len(perm._orbit(gens, (lvl.point,))) == len(lvl.transversal)
 
 
 class TestSemiregular:

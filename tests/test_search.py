@@ -2,7 +2,8 @@
 earlier form, and against networkx; the deepest-first level order against
 the top-down pass, and its one search rule against the earlier two-rule
 loop; searches pruned by known automorphisms against the same searches
-unpruned; the order it counts against a stabilizer chain; the plans its
+unpruned; the order it counts and the chain it reads off its levels
+against a Schreier-Sims chain; the plans its
 callers build (one per set of mapped sources, none kept in a graph); and
 its set-up (extension plan, individualization, refinement,
 distances) against reference copies and the Floyd-Warshall oracle."""
@@ -765,7 +766,8 @@ def _two_rule_automorphism_group(graph):
     its branch vertex: below the first generator found, a level searched
     forward from the branch vertex v to each target with one plan, built at
     its first search, and only the levels above searched from each target
-    back to v.  It reads each level's order off an orbit closure."""
+    back to v.  It reads each level's order off an orbit closure, and hands
+    its levels to ``perm.group_from_levels`` as the search does."""
     class_of = list(range(graph.n))
     members = [[p] for p in range(graph.n)]
     deeper = []
@@ -801,9 +803,8 @@ def _two_rule_automorphism_group(graph):
                     members[b] = []
         order *= len(S.permmod._orbit(deeper + level_gens, (v,)))
         deeper += level_gens
-        per_level.append(level_gens)
-    gens = [Permutation(g) for level_gens in reversed(per_level) for g in level_gens]
-    return S.PermGroup(graph.n, tuple(gens), order)
+        per_level.append((v, level_gens))
+    return S.permmod.group_from_levels(graph.n, per_level[::-1], order)
 
 
 @pytest.mark.parametrize("name", atlas_list() + ["PG(2,4)", "PG(2,5)", "W(3)"])
@@ -934,12 +935,44 @@ def test_pruned_search_matches_unpruned_on_w3_point_to_line_targets(monkeypatch)
 
 
 # ---------------------------------------------------------------------------
-# |Aut| from the search's own orbits
+# |Aut| and its stabilizer chain from the search's own levels, against a
+# Schreier-Sims chain built from the same generators
 # ---------------------------------------------------------------------------
 
 def _assert_order_matches_chain(graph):
+    """The chain read off the search's levels against ``build_group``'s
+    Schreier-Sims chain of the same generators: equal orders, each chain
+    holding the other's strong generators, and level k's generators fixing
+    ``base()[:k]``.  The base is the branch vertices whose orbit under the
+    generators that fix the points before them has more than one point,
+    and those orbits are the basic orbits, and a pointwise stabilizer is
+    the reference's.  Returns how many levels were left out for an orbit
+    of length 1."""
     group = S.automorphism_group(graph)
-    assert group.order() == build_group(group.generators, degree=graph.n).order()
+    reference = build_group(group.generators, degree=graph.n)
+    assert group.order() == reference.order()
+    chain, ref_chain = group._chain, reference._chain
+    assert all(ref_chain.contains(g) for g in chain.gens_from_level(0))
+    assert all(chain.contains(g) for g in ref_chain.gens_from_level(0))
+    base = group.base()
+    for k, lvl in enumerate(chain.levels):
+        assert all(g[p] == p for g in lvl.gens for p in base[:k])
+    gens = [g.images for g in group.generators]
+    levels = S._base_levels(graph)
+    want = []
+    for fixed, _, _, v in levels:
+        fixing = [g for g in gens if all(g[p] == p for p in fixed)]
+        orbit = S.permmod._orbit(fixing, (v,))
+        if len(orbit) > 1:
+            want.append((v, len(orbit)))
+    assert list(zip(base, group.basic_orbit_sizes())) == want
+    # a stabilizer's chain is built from the group's generators, so it does
+    # not depend on how the group's own chain was made
+    points = (0, graph.n - 1)
+    got = S.permmod.pointwise_stabilizer(group, points)
+    expected = S.permmod.pointwise_stabilizer(reference, points)
+    assert (got.generators, got.order()) == (expected.generators, expected.order())
+    return len(levels) - len(want)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -950,7 +983,16 @@ def test_search_order_matches_chain(graph):
 
 @pytest.mark.parametrize("name", atlas_list())
 def test_search_order_matches_chain_on_catalog(name):
-    _assert_order_matches_chain(atlas_get(name).graph)
+    base = atlas_get(name).graph
+    for graph in (base, _relabeled(base, 1), _relabeled(base, 2)):
+        _assert_order_matches_chain(graph)
+
+
+@pytest.mark.parametrize("name", ["PG(2,3)", "PG(2,4)", "PG(2,5)", "W(3)"])
+def test_search_order_matches_chain_on_families(name):
+    base = atlas_get(name).graph
+    for graph in (base, _relabeled(base, 1), _relabeled(base, 2)):
+        _assert_order_matches_chain(graph)
 
 
 def test_search_order_matches_chain_on_claim_10_corpus():
@@ -960,11 +1002,25 @@ def test_search_order_matches_chain_on_claim_10_corpus():
         _assert_order_matches_chain(graph)
 
 
-def test_undercounted_level_fails_at_the_chain_build(monkeypatch):
+def test_levels_with_orbits_of_length_one_are_left_out():
+    # the Frucht graph is cubic with a trivial automorphism group: refinement
+    # keeps one cell, so the search branches once, on an orbit of length 1,
+    # and the chain has no level, as a Schreier-Sims chain would have none
+    frucht = graphmod.lcf_decode([-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2], 1)
+    for graph in (frucht, _relabeled(frucht, 1)):
+        assert len(S._base_levels(graph)) == 1
+        assert _assert_order_matches_chain(graph) == 1
+        group = S.automorphism_group(graph)
+        assert (group.order(), group.base(), group.walk()) == (1, (), [])
+
+
+def test_undercounted_level_fails_at_the_chain_build(monkeypatch, chain_builds):
     # drop one point from every class of vertex 0 whose length the search
     # reads as a level's orbit: Petersen's first level then counts 9 of its
     # 10 points.  ``len`` is looked up in the module's globals before the
-    # builtins, and only ``automorphism_group``'s own calls are shrunk
+    # builtins, and only ``automorphism_group``'s own calls are shrunk.  The
+    # chain read off the levels walks 10 points and fails on the product,
+    # with no Schreier-Sims build
     count = len
 
     def shrunk(obj):
@@ -980,6 +1036,7 @@ def test_undercounted_level_fails_at_the_chain_build(monkeypatch):
     assert group.order() == 108
     with pytest.raises(AssertionError, match="order 120, expected 108"):
         group.base()
+    assert chain_builds == []
 
 
 # ---------------------------------------------------------------------------
