@@ -446,18 +446,21 @@ class NamedGraphRecord:
         ``"label: expected X, got Y"``.
 
         Cheap graph invariants are always checked; ``full`` adds the
-        automorphism-group order and the transitivity degrees.
+        automorphism-group order and the transitivity degrees.  The array
+        is computed before the girth, which then reads it off the array
+        (``graph.girth``), but the failures keep the order of the labels.
         """
         exp = self.expected
         failures: list[str] = []
         if exp.valency is not None:
             _check(failures, "valency", exp.valency, self.graph.valency)
+        if exp.intersection_array is not None:
+            arr = graphmod.intersection_array(self.graph)
         if exp.girth is not None:
             _check(failures, "girth", exp.girth, graphmod.girth(self.graph))
         if exp.diameter is not None:
             _check(failures, "diameter", exp.diameter, graphmod.diameter(self.graph))
         if exp.intersection_array is not None:
-            arr = graphmod.intersection_array(self.graph)
             got = str(arr) if arr else None
             _check(failures, "intersection_array", exp.intersection_array, got)
         if full:

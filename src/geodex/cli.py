@@ -117,11 +117,14 @@ def _analyze_payload(name: str, graph: Graph) -> dict:
     shape = graphmod.classify_shape(graph)
     payload["bipartite"] = shape.bipartite
     payload["complete_multipartite"] = shape.complete_multipartite
+    # the array first: the girth of a distance-regular graph is read off it
+    arrayed = graph.connected and graph.is_regular()
+    if arrayed:
+        array = graphmod.intersection_array(graph)
     if graph.connected:
         payload["diameter"] = graphmod.diameter(graph)
     payload["girth"] = graphmod.girth(graph)
-    if graph.connected and graph.is_regular():
-        array = graphmod.intersection_array(graph)
+    if arrayed:
         payload["intersection_array"] = str(array) if array else None
     return payload
 

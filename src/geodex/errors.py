@@ -78,7 +78,10 @@ class TruncatedPayload(GeodexError):
 # --- symmetry -------------------------------------------------------------
 
 class GraphTooLarge(GeodexError):
-    """Graph exceeds the automorphism-search vertex cap."""
+    """Graph exceeds a size cap, checked before the work it guards: the
+    automorphism search's vertex cap (a graph file's or catalog family's
+    vertex count is checked before any vertex is built), or the cap on the
+    vertices of an all-pairs distance table."""
 
 
 class NotAutomorphisms(GeodexError):

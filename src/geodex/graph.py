@@ -15,6 +15,7 @@ from operator import add, itemgetter, or_
 from .errors import (
     BadHeader,
     Disconnected,
+    GraphTooLarge,
     LoopEdge,
     NotCubic,
     NotRegular,
@@ -225,13 +226,29 @@ def _distance_table(graph: Graph) -> tuple:
         return tuple(map(tuple, rows))
 
 
+#: ``distance_matrix`` refuses a connected graph with more vertices than
+#: this, before any row is built.  Tables built by BFS rows: C1024 takes
+#: 0.23 s and 47 MB peak RSS, C2048 1.0 s and 176 MB, C4096 3.8 s and
+#: 722 MB (2 shared cores, CPython 3.11), so 2048 keeps a table near 1 s and
+#: 200 MB.  It lies above the automorphism search's cap
+#: (``symmetry.AUTOMORPHISM_VERTEX_CAP``, 512), so every searchable graph
+#: gets its table.
+DISTANCE_TABLE_VERTEX_CAP = 2048
+
+
 def distance_matrix(graph: Graph) -> tuple:
     """All-pairs distances (cached), one row per vertex; requires a connected
-    graph.  Each row is ``bytes`` while every distance fits a byte, at any
-    vertex count, and a tuple of ints once the diameter passes 255."""
+    graph (Disconnected) of at most ``DISTANCE_TABLE_VERTEX_CAP`` vertices
+    (GraphTooLarge).  Each row is ``bytes`` while every distance fits a
+    byte, at any vertex count, and a tuple of ints once the diameter passes
+    255."""
     if "distmat" not in graph._cache:
         if not graph.connected:
             raise Disconnected("distance matrix undefined on a disconnected graph")
+        if graph.n > DISTANCE_TABLE_VERTEX_CAP:
+            raise GraphTooLarge(
+                f"{graph.n} vertices exceeds the distance-table cap {DISTANCE_TABLE_VERTEX_CAP}"
+            )
         graph._cache["distmat"] = _distance_table(graph)
     return graph._cache["distmat"]
 
@@ -260,41 +277,63 @@ def diameter(graph: Graph) -> int:
 def girth(graph: Graph) -> int | None:
     """Length of a shortest cycle, or None for a forest (cached).
 
-    A BFS from each root bounds the girth by dist[x] + dist[y] + 1 for every
+    When the graph's cache already holds an intersection array, the girth
+    is read off it (``IntersectionArray.girth``).  ``girth`` never computes
+    an array itself: a graph that is not distance-regular, or whose array
+    nobody asked for, takes the BFS of ``_bfs_girth``.
+    """
+    if "girth" not in graph._cache:
+        array = graph._cache.get("intersection_array")
+        graph._cache["girth"] = array.girth if array is not None else _bfs_girth(graph)
+    return graph._cache["girth"]
+
+
+def _bfs_girth(graph: Graph) -> int | None:
+    """The girth by a BFS from each root of every component with a cycle.
+
+    A BFS from a root bounds the girth by dist[x] + dist[y] + 1 for every
     edge {x, y} with dist[y] >= dist[x], which leaves out the tree edge to
     x's parent one level up: the tree paths from x and y meet at their
-    lowest common ancestor and close a cycle no longer than that.  From a root on a
-    shortest cycle some such edge gives exactly the girth, so the least
-    bound over all roots is the girth.  Every bound from a vertex x at
-    level dx is at least 2dx + 1, and at least 2dx + 2 on a bipartite graph,
-    where no edge lies inside a level; the BFS stops at the first x whose
-    least bound cannot beat the best.  All roots share one ``dist`` list,
-    and each BFS resets only the vertices it reached, so a graph of many
-    small components costs time linear in its size.
+    lowest common ancestor and close a cycle no longer than that.  From a
+    root on a shortest cycle some such edge gives exactly the girth, so the
+    least bound over all roots is the girth.  Every bound from a vertex x at
+    level dx is at least 2dx + 1, and at least 2dx + 2 in a bipartite
+    component, where no edge lies inside a level; the BFS stops at the first
+    x whose least bound cannot beat the best.  All roots share one ``dist``
+    list, and each BFS resets only the vertices it reached.
+
+    A component with one edge fewer than vertices is a tree, and no root in
+    it is searched, so a forest costs time linear in its size.  On a
+    connected graph m = n - 1 decides this; otherwise the component pass
+    that 2-colors the graph counts each component's edge ends.
     """
-    if "girth" in graph._cache:
-        return graph._cache["girth"]
-    least = 2 if bipartition(graph) is not None else 1
-    best = None
     adjacency = graph.adjacency
-    dist = [-1] * graph.n
-    for root in range(graph.n):
-        dist[root] = 0
-        order = [root]
-        for x in order:
-            dx = dist[x]
-            if best is not None and 2 * dx + least >= best:
-                break
-            for y in adjacency[x]:
-                dy = dist[y]
-                if dy < 0:
-                    dist[y] = dx + 1
-                    order.append(y)
-                elif dy >= dx and (best is None or dx + dy + 1 < best):
-                    best = dx + dy + 1
-        for x in order:
-            dist[x] = -1
-    graph._cache["girth"] = best
+    n = graph.n
+    connected = graph.connected
+    if connected and graph.m == n - 1:
+        return None
+    best = None
+    dist = [-1] * n
+    for order, proper in _components(adjacency, [-1] * n):
+        if not connected and sum(map(len, map(adjacency.__getitem__, order))) < 2 * len(order):
+            continue  # a tree: 2(n_c - 1) edge ends
+        least = 2 if proper else 1
+        for root in order:
+            dist[root] = 0
+            reached = [root]
+            for x in reached:
+                dx = dist[x]
+                if best is not None and 2 * dx + least >= best:
+                    break
+                for y in adjacency[x]:
+                    dy = dist[y]
+                    if dy < 0:
+                        dist[y] = dx + 1
+                        reached.append(y)
+                    elif dy >= dx and (best is None or dx + dy + 1 < best):
+                        best = dx + dy + 1
+            for x in reached:
+                dist[x] = -1
     return best
 
 
@@ -488,6 +527,29 @@ class IntersectionArray:
     def diameter(self) -> int:
         return len(self.c)
 
+    @property
+    def girth(self) -> int | None:
+        """2i for the least i with c_i >= 2, or 2i + 1 for the least i with
+        a_i = k - b_i - c_i >= 1 (b_d = 0), whichever is smaller; None when
+        neither exists (K1, whose array is empty, and K2).
+
+        While c_j = 1 and a_j = 0 for every j < i, each vertex at distance j
+        from u has one neighbor nearer u and none as near, so the ball of
+        radius i - 1 about u spans a tree.  At level i two neighbors nearer
+        u (c_i >= 2) close a cycle of length 2i, and a neighbor as near
+        (a_i >= 1) one of length 2i + 1 (Brouwer, Cohen & Neumaier,
+        *Distance-Regular Graphs*, 1989).
+        """
+        if not self.b:
+            return None
+        k = self.b[0]
+        for i, (b, c) in enumerate(zip(self.b[1:] + (0,), self.c), 1):
+            if c >= 2:
+                return 2 * i
+            if k - b - c >= 1:
+                return 2 * i + 1
+        return None
+
 
 def intersection_array(graph: Graph) -> IntersectionArray | None:
     """The intersection array (cached), or None when the graph is not distance-regular."""
@@ -574,15 +636,16 @@ def _lanes(keys, table, width: int) -> bytes | bytearray:
 # structural probes
 # ---------------------------------------------------------------------------
 
-def bipartition(graph: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """2-coloring classes (first class holds the least vertex of each component)."""
-    adjacency = graph.adjacency
-    color = [-1] * graph.n
-    for root in range(graph.n):
+def _components(adjacency, color: list[int]):
+    """Each component in turn, from its least vertex: its vertices in BFS
+    order, and whether level parity 2-colors it.  ``color``, all -1 on
+    entry, receives each vertex's level parity."""
+    for root in range(len(adjacency)):
         if color[root] >= 0:
             continue
         color[root] = 0
         order = [root]
+        proper = True
         for x in order:
             other = 1 - color[x]
             for y in adjacency[x]:
@@ -590,7 +653,15 @@ def bipartition(graph: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
                     color[y] = other
                     order.append(y)
                 elif color[y] != other:
-                    return None
+                    proper = False
+        yield order, proper
+
+
+def bipartition(graph: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """2-coloring classes (first class holds the least vertex of each component)."""
+    color = [-1] * graph.n
+    if not all(proper for _, proper in _components(graph.adjacency, color)):
+        return None
     part0 = tuple(v for v in range(graph.n) if color[v] == 0)
     part1 = tuple(v for v in range(graph.n) if color[v] == 1)
     return part0, part1

@@ -848,9 +848,10 @@ def normal_structure(group: PermGroup) -> tuple[list[PermGroup], PermGroup]:
     so a conjugate of it among the class representatives, and M is the
     normal closure of each of its nontrivial elements: the minimal normal
     subgroups are the inclusion-minimal closures of prime-order
-    representatives.  Each M is named by the closure of its first
-    nontrivial representative in listing order, prime or not, so its
-    generator list does not depend on which classes were closed.
+    representatives.  Each M is named by the closure of its least
+    nontrivial element, the least representative it contains, prime or
+    not, so its generator list depends neither on which classes were closed
+    nor on the chain's base, which orders the listing.
     """
     if "normal_structure" in group._cache:
         return group._cache["normal_structure"]
@@ -871,9 +872,12 @@ def normal_structure(group: PermGroup) -> tuple[list[PermGroup], PermGroup]:
     for rep, c in closures:
         if any(other.order() < c.order() and is_subgroup_of(other, c) for _, other in closures):
             continue
-        first = next(r for r in reps if not r.is_identity() and c.contains_raw(r.images))
-        if first != rep:
-            _, c = normal_test_and_closure(group, [first])
+        least = min(
+            (r for r in reps if not r.is_identity() and c.contains_raw(r.images)),
+            key=lambda r: r.images,
+        )
+        if least != rep:
+            _, c = normal_test_and_closure(group, [least])
         minimal.append(c)
     minimal.sort(key=lambda g: (g.order(), tuple(p.images for p in g.generators)))
     socle_gens = [g for m in minimal for g in m.generators]

@@ -124,6 +124,23 @@ class TestCatalog:
             "aut_order: expected 60, got 120",
         ]
 
+    def test_failures_keep_the_order_of_the_labels(self):
+        # the array is computed before the girth, which reads it, but a row
+        # that lies on every cheap invariant lists them in the label order
+        import dataclasses
+
+        record = A.atlas_get("foster")
+        lying = dataclasses.replace(
+            record,
+            expected=A.ExpectedInvariants(4, 8, 7, "{3;1}"),
+        )
+        assert lying.mismatches() == [
+            "valency: expected 4, got 3",
+            "girth: expected 8, got 10",
+            "diameter: expected 7, got 8",
+            "intersection_array: expected {3;1}, got {3,2,2,2,2,1,1,1;1,1,1,1,2,2,2,3}",
+        ]
+
     def test_hexagon_from_env_dir(self, tmp_path, monkeypatch):
         import json
 

@@ -416,6 +416,24 @@ def test_graph_file_is_not_capped_without_a_search(capsys, tmp_path, monkeypatch
     assert code == 1 and json.loads(out)["error"] == "GraphTooLarge"
 
 
+def test_analyze_past_the_distance_table_cap(capsys, tmp_path):
+    # a 20,000-vertex path: the all-pairs table would take gigabytes, so it
+    # is refused before any row is built; its girth alone is linear
+    n = 20000
+    path = tmp_path / "p20000.json"
+    path.write_text(json.dumps({"n": n, "edges": [[i, i + 1] for i in range(n - 1)]}))
+    code, out, err = run(capsys, "analyze", "--graph", str(path), "--format", "json")
+    assert code == 1 and err == ""
+    assert json.loads(out) == {
+        "error": "GraphTooLarge",
+        "message": f"{n} vertices exceeds the distance-table cap {G.DISTANCE_TABLE_VERTEX_CAP}",
+    }
+    # a forest of paths is disconnected: no table, and no girth
+    path.write_text(json.dumps({"n": n, "edges": [[i, i + 1] for i in range(n - 1) if i % 1000 != 999]}))
+    code, out, _ = run(capsys, "analyze", "--graph", str(path), "--format", "json")
+    assert code == 0 and json.loads(out)["girth"] is None
+
+
 def test_atlas_get_with_empty_data_dir(tmp_path):
     # a fresh process, so an escaping exception would print a traceback
     src = os.path.dirname(os.path.dirname(os.path.abspath(geodex.__file__)))

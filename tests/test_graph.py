@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from geodex import graph as G
 from geodex.errors import (
     Disconnected,
+    GraphTooLarge,
     LoopEdge,
     NotCubic,
     NotRegular,
@@ -98,6 +100,27 @@ class TestDistances:
         assert G.distances(cycle, 0) == tuple(G.distance_matrix(cycle)[0])
         assert type(G.distances(cycle, 0)) is tuple
 
+    def test_table_cap_is_checked_before_any_row(self, monkeypatch):
+        def unbuilt(graph):
+            pytest.fail("a row was built past the cap")
+
+        n = G.DISTANCE_TABLE_VERTEX_CAP + 1
+        path = G.build_graph(n, [(i, i + 1) for i in range(n - 1)])
+        monkeypatch.setattr(G, "_distance_table", unbuilt)
+        with pytest.raises(GraphTooLarge, match=f"^{n} vertices exceeds the distance-table cap"):
+            G.distance_matrix(path)
+        with pytest.raises(GraphTooLarge):
+            G.diameter(path)
+        # a disconnected graph has no table at any size: Disconnected first
+        with pytest.raises(Disconnected):
+            G.distance_matrix(G.build_graph(n, [(i, i + 1) for i in range(n - 2)]))
+
+    def test_table_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(G, "DISTANCE_TABLE_VERTEX_CAP", 8)
+        assert G.diameter(G.build_graph(8, [(i, (i + 1) % 8) for i in range(8)])) == 4
+        with pytest.raises(GraphTooLarge):
+            G.diameter(G.build_graph(9, [(i, (i + 1) % 9) for i in range(9)]))
+
 
 class TestGirth:
     def test_c6(self, c6):
@@ -164,6 +187,98 @@ class TestGirth:
             assert G.girth(g) == naive_girth(g)
             if g.connected:
                 assert G.diameter(g) == naive_diameter(g)
+
+    @pytest.mark.parametrize("triangle", [False, True], ids=["P20000", "P20000+K3"])
+    def test_acyclic_components_are_not_searched(self, triangle):
+        # a BFS from every root of a path walks the whole path: quadratic,
+        # about a minute for 20,000 vertices; a tree component is skipped
+        n = 20000
+        edges = [(i, i + 1) for i in range(n - 1)]
+        if triangle:
+            edges += [(n, n + 1), (n + 1, n + 2), (n + 2, n)]
+        graph = G.build_graph(n + 3 * triangle, edges)
+        start = time.perf_counter()
+        assert G.girth(graph) == (3 if triangle else None)
+        assert time.perf_counter() - start < 1.0
+
+
+def _relabeled(graph, seed):
+    images = list(range(graph.n))
+    random.Random(seed).shuffle(images)
+    return G.build_graph(graph.n, [(images[u], images[v]) for u, v in graph.edges()])
+
+
+def _girth_cases():
+    """Distance-regular graphs: the catalog, cycles, K{n,n}, PG(2,q), W(q)
+    and seeded relabelings of the catalog."""
+    from geodex.atlas import atlas_get, atlas_list
+
+    names = [*atlas_list(), *(f"PG(2,{q})" for q in (2, 3, 4, 5)), "W(2)", "W(3)"]
+    names += [f"C{n}" for n in range(3, 13)] + [f"K{a},{a}" for a in range(2, 7)]
+    graphs = {name: atlas_get(name).graph for name in names}
+    for seed, name in enumerate(atlas_list()):
+        graphs[f"{name} relabeled"] = _relabeled(graphs[name], 900 + seed)
+    return graphs
+
+
+class TestGirthOffTheArray:
+    @pytest.mark.parametrize(
+        ("b", "c", "girth"),
+        [
+            ((), (), None),  # K1
+            ((1,), (1,), None),  # K2
+            ((2,), (1,), 3),  # K3
+            ((5,), (1,), 3),  # K6
+            ((2, 1), (1, 2), 4),  # C4
+            ((2, 1), (1, 1), 5),  # C5
+            ((2, 1, 1, 1, 1), (1, 1, 1, 1, 2), 10),  # C10
+            ((2, 1, 1, 1, 1), (1, 1, 1, 1, 1), 11),  # C11
+            ((4, 3), (1, 4), 4),  # K4,4
+            ((3, 2), (1, 1), 5),  # Petersen
+            ((3, 2, 2, 2, 2, 1, 1, 1), (1, 1, 1, 1, 2, 2, 2, 3), 10),  # Foster
+            ((3, 2, 2, 2, 1, 1, 1), (1, 1, 1, 1, 1, 1, 3), 9),  # Biggs-Smith
+        ],
+        ids=["K1", "K2", "K3", "K6", "C4", "C5", "C10", "C11", "K4,4", "Petersen", "Foster",
+             "Biggs-Smith"],
+    )
+    def test_hand_written_arrays(self, b, c, girth):
+        assert G.IntersectionArray(b, c).girth == girth
+
+    def test_cached_array_gives_the_bfs_girth(self):
+        for name, graph in _girth_cases().items():
+            fresh = G.Graph(graph.adjacency)
+            array = G.intersection_array(fresh)
+            assert array is not None, name
+            bfs = G._bfs_girth(G.Graph(graph.adjacency))
+            assert G.girth(fresh) == array.girth == bfs == naive_girth(graph), name
+
+    def test_read_only_off_a_cached_array(self, monkeypatch, ctx):
+        calls = []
+        bfs = G._bfs_girth
+        monkeypatch.setattr(G, "_bfs_girth", lambda graph: calls.append(graph) or bfs(graph))
+        # no array cached: the BFS, and girth computes no array
+        petersen = G.Graph(ctx.graph("petersen").adjacency)
+        assert G.girth(petersen) == 5
+        assert len(calls) == 1 and "intersection_array" not in petersen._cache
+        # a cached array: no BFS
+        petersen = G.Graph(ctx.graph("petersen").adjacency)
+        G.intersection_array(petersen)
+        assert G.girth(petersen) == 5 and len(calls) == 1
+        # not distance-regular (a one-edge swap of Foster, whose array is
+        # None): the cached None leaves the BFS, with the BFS's answer
+        swapped = _one_edge_swap(ctx.graph("foster"))
+        assert G.intersection_array(swapped) is None
+        assert G.girth(swapped) == naive_girth(swapped)
+        assert len(calls) == 2
+
+    def test_atlas_get_runs_no_girth_bfs(self, monkeypatch):
+        from geodex.atlas import atlas_get, atlas_list
+
+        calls = []
+        monkeypatch.setattr(G, "_bfs_girth", lambda graph: calls.append(graph))
+        for name in [*atlas_list(), "PG(2,3)", "W(2)", "C9", "K4,4"]:
+            atlas_get(name)
+        assert calls == []
 
 
 class TestArcs:

@@ -571,11 +571,15 @@ def _reference_closure(group, x):
 
 
 def _reference_normal_structure(group):
-    """(class reps, minimal normal generator lists, socle generators)."""
+    """(class reps, minimal normal generator lists, socle generators).
+
+    The representatives are closed from the least up, so the first to reach
+    a minimal normal subgroup M is the least nontrivial element of M, which
+    names it."""
     reps = _reference_class_reps(group)
     identity = tuple(range(group.degree))
     closures = []
-    for rep in reps:
+    for rep in sorted(reps):
         if rep == identity:
             continue
         closure = _reference_closure(group, rep)
@@ -692,8 +696,9 @@ class TestWalkList:
 class TestNormalStructureReference:
     """The class walk and the prime-order closures against the reference."""
 
-    # PSL(2,7) and A6, whose first nontrivial class representatives have
-    # composite order: their minimal normal subgroup is renamed
+    # PSL(2,7) and A6, whose least nontrivial elements are not the first
+    # prime-order class representatives: their minimal normal subgroup is
+    # renamed
     @settings(max_examples=150, deadline=None)
     @given(generator_sets())
     @example((7, [Permutation((0, 4, 1, 6, 5, 2, 3)), Permutation((3, 2, 6, 4, 0, 5, 1))]))
@@ -710,20 +715,41 @@ class TestNormalStructureReference:
             want = _reference_normal_structure(fresh)
             assert _library_normal_structure(fresh) == want, name
 
-    def test_renaming_keeps_the_first_class_in_listing_order(self, ctx):
-        # a catalog group whose first nontrivial class representative has
-        # composite order, so its closure is recomputed; which group that is
-        # follows the generators the search finds
-        def first_rep_order(group):
-            reps = perm.conjugacy_class_representatives(group)
-            return next(r for r in reps if not r.is_identity()).order()
+    def test_renaming_keeps_the_least_element(self, ctx):
+        # a catalog group with a minimal normal subgroup whose least element
+        # has composite order, so no prime-order closure is named by it and
+        # its closure is recomputed (hexagon-q2's bipart 1, of order 12096)
+        def least_orders(group):
+            _, minimal, _ = _reference_normal_structure(group)
+            return [Permutation(gens[0]).order() for gens in minimal]
 
         group = next(
             group
             for _, group in _catalog_groups(ctx)
-            if group.order() > 1 and not perm._is_prime(first_rep_order(group))
+            if not all(map(perm._is_prime, least_orders(group)))
         )
         assert _library_normal_structure(group) == _reference_normal_structure(group)
+
+    def test_names_do_not_depend_on_the_base(self, ctx):
+        # one group under two bases: Aut's chain read off the search's
+        # levels, and one rebuilt from the same generators with the points
+        # hinted in reverse; the element listing follows the base, the
+        # names of the minimal normal subgroups must not
+        def named(group):
+            minimal, socle = perm.normal_structure(group)
+            return [[p.images for p in m.generators] for m in minimal], [
+                p.images for p in socle.generators
+            ]
+
+        for name in ("desargues", "heawood", "hexagon-q2", "tutte-coxeter", "K3,3"):
+            aut = ctx.aut(name)
+            raw = [perm._raw(g.images) for g in aut.generators]
+            hint = range(aut.degree - 1, -1, -1)
+            other = perm._group_from_chain(
+                aut.degree, raw, perm._build_chain(aut.degree, raw, base_hint=hint)
+            )
+            assert other.base() != aut.base(), name
+            assert named(other) == named(aut), name
 
     def test_foster_work(self, foster_aut, chain_builds, monkeypatch):
         chain_builds.clear()
